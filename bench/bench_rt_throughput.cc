@@ -223,7 +223,7 @@ StoreOptions inline_opts(FsyncPolicy policy, int every) {
 StoreOptions group_opts() {
   // The shipping runtime configuration (rt_default_store_options):
   // segmented WAL, ring-staged appends, batched barrier rounds through the
-  // pinned flusher pool (see the engine note in rt/runtime.h).
+  // flusher pool (store/sync_barrier.h).
   StoreOptions o;
   o.group_commit = true;
   o.segment_bytes = 256 * 1024;
@@ -231,7 +231,6 @@ StoreOptions group_opts() {
   o.commit_every = 1024;
   o.commit_interval = std::chrono::microseconds{5'000};
   o.snapshot_every = 1024;
-  o.barrier = CommitBarrier::kPool;
   return o;
 }
 

@@ -3,10 +3,12 @@
 //
 // Every worker thread owns exactly one Mailbox and is its only consumer; the
 // transport dispatcher, the supervisor, and peer-driven deliveries are the
-// producers.  A closed mailbox models a down process: pushes are refused
-// (the transport treats that as a channel loss and keeps retrying under its
-// backoff schedule), and queued mail is discarded — a crashed process loses
-// exactly its undelivered input, nothing else.
+// producers.  The mail type is the worker's: RtMail for a model process,
+// SvcMail (svc/node.h) for a service replica.  A closed mailbox models a
+// down process: pushes are refused (the transport treats that as a channel
+// loss and keeps retrying under its backoff schedule), and queued mail is
+// discarded — a crashed process loses exactly its undelivered input,
+// nothing else.
 #pragma once
 
 #include <chrono>
@@ -40,11 +42,12 @@ struct RtMail {
 // that as channel loss and keeps retrying, the supervisor counts it.
 enum class MailboxPush { kAccepted, kClosed };
 
+template <class Mail>
 class Mailbox {
  public:
   // kClosed iff the mailbox is closed (the process is down); the mail is
   // then refused, exactly like a message lost on the wire.
-  MailboxPush push(RtMail mail) {
+  MailboxPush push(Mail mail) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) return MailboxPush::kClosed;
@@ -57,11 +60,11 @@ class Mailbox {
   // Pops the next mail, waiting up to `timeout`.  nullopt on timeout or
   // close — the worker loop uses the timeout slot for pacing (heartbeats,
   // detector polls, protocol on_tick).
-  std::optional<RtMail> pop_for(std::chrono::microseconds timeout) {
+  std::optional<Mail> pop_for(std::chrono::microseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait_for(lock, timeout, [this] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) return std::nullopt;
-    RtMail mail = std::move(queue_.front());
+    Mail mail = std::move(queue_.front());
     queue_.pop_front();
     return mail;
   }
@@ -84,7 +87,7 @@ class Mailbox {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<RtMail> queue_;
+  std::deque<Mail> queue_;
   bool closed_ = false;
 };
 

@@ -1,109 +1,52 @@
 #include "udc/rt/remote/fleet.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <set>
-#include <sstream>
-#include <thread>
 #include <utility>
 
 #include "udc/common/check.h"
 #include "udc/coord/action.h"
-#include "udc/event/event.h"
-#include "udc/net/reactor.h"
-#include "udc/net/wire.h"
+#include "udc/rt/remote/supervisor.h"
 #include "udc/rt/runtime.h"
-#include "udc/store/process_store.h"
 
 namespace udc {
 
 namespace {
 
-// Everything the reactor thread learns about one node, mutex-shared with
-// the supervisor loop.
-struct NodeView {
-  bool up = false;
-  std::uint64_t epoch = 0;        // epoch of the established stream
-  std::uint16_t data_port = 0;    // from the node's hello
-  bool have_status = false;
-  WireStatus status;              // latest durable-state report
-  bool done = false;              // final report seen
-};
-
-struct Child {
-  pid_t pid = -1;
-  std::uint64_t epoch = 0;
-  bool running = false;
-  bool killed_by_us = false;     // SIGKILL we sent (chaos, not failure)
-  bool permanently_dead = false; // killed, no relaunch coming
-  bool awaiting_relaunch = false;
-  Time relaunch_at = 0;          // fleet tick
-  int exit_status = 0;           // raw waitpid status once reaped
-  bool reaped = false;
-};
-
 std::vector<std::string> node_argv(const FleetOptions& opts, ProcessId id,
                                    std::uint64_t epoch, std::uint64_t run_id,
                                    std::uint16_t sup_port,
                                    const std::string& script_path) {
-  auto arg = [](const std::string& k, const auto& v) {
-    std::ostringstream os;
-    os << k << '=' << v;
-    return os.str();
-  };
   std::vector<std::string> a;
   a.push_back(opts.node_binary);
-  a.push_back(arg("--id", id));
-  a.push_back(arg("--n", opts.n));
-  a.push_back(arg("--t", opts.t));
-  a.push_back(arg("--protocol", opts.protocol));
-  a.push_back(arg("--resend-interval", opts.resend_interval));
-  a.push_back(arg("--epoch", epoch));
-  a.push_back(arg("--run-id", run_id));
-  a.push_back(arg("--supervisor-port", sup_port));
-  a.push_back(arg("--wal-dir", opts.run_dir));
-  if (!script_path.empty()) a.push_back(arg("--script", script_path));
-  a.push_back(arg("--background-drop", opts.background_drop));
-  a.push_back(arg("--seed", opts.seed + 0x9e37u * (std::uint64_t)(id + 1) +
-                               epoch));
-  a.push_back(arg("--hb-interval", opts.heartbeat.interval));
-  a.push_back(arg("--hb-timeout", opts.heartbeat.initial_timeout));
+  a.push_back(node_flag("--id", id));
+  a.push_back(node_flag("--n", opts.n));
+  a.push_back(node_flag("--t", opts.t));
+  a.push_back(node_flag("--protocol", opts.protocol));
+  a.push_back(node_flag("--resend-interval", opts.resend_interval));
+  a.push_back(node_flag("--epoch", epoch));
+  a.push_back(node_flag("--run-id", run_id));
+  a.push_back(node_flag("--supervisor-port", sup_port));
+  a.push_back(node_flag("--wal-dir", opts.run_dir));
+  if (!script_path.empty()) a.push_back(node_flag("--script", script_path));
+  a.push_back(node_flag("--background-drop", opts.background_drop));
+  a.push_back(node_flag(
+      "--seed", opts.seed + 0x9e37u * (std::uint64_t)(id + 1) + epoch));
+  a.push_back(node_flag("--hb-interval", opts.heartbeat.interval));
+  a.push_back(node_flag("--hb-timeout", opts.heartbeat.initial_timeout));
   return a;
 }
 
-pid_t spawn_node(const std::vector<std::string>& argv,
-                 const std::string& log_path) {
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& s : argv) {
-    cargv.push_back(const_cast<char*>(s.c_str()));
-  }
-  cargv.push_back(nullptr);
+RuntimeCounters status_counters(const WireStatus& s) {
+  return unpack_node_counters(s.counters);
+}
 
-  pid_t pid = ::fork();
-  UDC_CHECK(pid >= 0, "fleet: fork failed");
-  if (pid == 0) {
-    // Child: own log file (appended across relaunches), then exec.
-    int fd = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, STDOUT_FILENO);
-      ::dup2(fd, STDERR_FILENO);
-      if (fd > STDERR_FILENO) ::close(fd);
-    }
-    ::execv(cargv[0], cargv.data());
-    _exit(127);  // exec failed; the supervisor sees a dirty exit
-  }
-  return pid;
+bool lists(const std::vector<ActionId>& v, ActionId a) {
+  return std::find(v.begin(), v.end(), a) != v.end();
 }
 
 }  // namespace
@@ -150,84 +93,12 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
       (static_cast<std::uint64_t>(::getpid()) << 32) ^ opts.seed ^
       0x666c656574ull;  // "fleet"
 
-  // --- control plane --------------------------------------------------------
-  std::mutex mu;
-  std::vector<NodeView> views(static_cast<std::size_t>(opts.n));
-  // Latest counters per (node, epoch): dead incarnations keep their tallies.
-  std::map<std::pair<ProcessId, std::uint64_t>, RuntimeCounters> counters_by;
-  bool directory_dirty = false;
-
-  ReactorOptions ropts;
-  ropts.self = kSupervisorPeer;
-  ropts.n = opts.n;
-  ropts.run_id = run_id;
-  ropts.seed = opts.seed ^ 0x73757065ull;  // "supe"
-  Reactor reactor(
-      ropts,
-      [&](ProcessId peer, std::uint64_t epoch, const WireFrame& f) {
-        if (f.type != FrameType::kStatus || peer < 0 || peer >= opts.n) {
-          return;
-        }
-        auto s = decode_status(f.payload.data(), f.payload.size());
-        if (!s || s->id != peer) return;
-        std::lock_guard<std::mutex> lk(mu);
-        NodeView& v = views[static_cast<std::size_t>(peer)];
-        v.have_status = true;
-        v.status = *s;
-        if (s->done) v.done = true;
-        counters_by[{peer, epoch}] = unpack_node_counters(s->counters);
-      },
-      [&](ProcessId peer, std::uint64_t epoch, bool up,
-          std::uint16_t data_port) {
-        if (peer < 0 || peer >= opts.n) return;
-        std::lock_guard<std::mutex> lk(mu);
-        NodeView& v = views[static_cast<std::size_t>(peer)];
-        v.up = up;
-        if (up) {
-          v.epoch = epoch;
-          v.data_port = data_port;
-          directory_dirty = true;  // rebroadcast ports to everyone
-        }
-      });
-  const std::uint16_t sup_port = reactor.listen(0);
-  reactor.start();
-
-  // --- the fleet ------------------------------------------------------------
-  std::vector<Child> children(static_cast<std::size_t>(opts.n));
-  auto launch = [&](ProcessId p, std::uint64_t epoch) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    c.epoch = epoch;
-    // Fresh incarnation, fresh exit accounting: a stale killed_by_us from a
-    // chaos SIGKILL of the previous incarnation must not excuse THIS one
-    // from the clean_exits check if it dies on its own.
-    c.killed_by_us = false;
-    c.reaped = false;
-    c.exit_status = 0;
-    c.pid = spawn_node(
-        node_argv(opts, p, epoch, run_id, sup_port, script_path),
-        (std::filesystem::path(opts.run_dir) /
-         ("node-" + std::to_string(p) + ".log"))
-            .string());
-    c.running = true;
-    c.awaiting_relaunch = false;
-  };
-  for (ProcessId p = 0; p < opts.n; ++p) launch(p, 0);
-
-  auto hard_kill = [&](ProcessId p) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    if (!c.running) return;
-    ::kill(c.pid, SIGKILL);
-    int st = 0;
-    ::waitpid(c.pid, &st, 0);
-    c.exit_status = st;
-    c.reaped = true;
-    c.running = false;
-    c.killed_by_us = true;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      views[static_cast<std::size_t>(p)].up = false;
-    }
-  };
+  using Sup = Supervisor<WireStatus>;
+  Sup sup(opts.n, opts.run_dir, run_id, opts.seed,
+          {FrameType::kStatus, &decode_status, &status_counters},
+          [&](ProcessId p, std::uint64_t epoch, std::uint16_t sup_port) {
+            return node_argv(opts, p, epoch, run_id, sup_port, script_path);
+          });
 
   struct DirectiveState {
     InitDirective d;
@@ -249,91 +120,44 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
   const bool has_perform_kills = !perform_kills_pending.empty();
   bool kills_settling = false;
   auto settle_deadline = std::chrono::steady_clock::now();
-
-  BudgetStatus status = BudgetStatus::kComplete;
-  std::size_t crash_count = 0;
-  std::size_t restart_count = 0;
-  const auto deadline = std::chrono::steady_clock::now() + opts.deadline;
+  std::vector<Time> relaunch_at(static_cast<std::size_t>(opts.n), 0);
   constexpr auto kInitResend = std::chrono::milliseconds(100);
 
-  for (;;) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const auto wall = std::chrono::steady_clock::now();
-    if (wall >= deadline) {
-      status = BudgetStatus::kBudgetExceeded;
-      break;
+  // Fleet time is the highest logical clock any node reports.  Kills are
+  // real SIGKILLs; restartable victims relaunch `restart_after` ticks on.
+  Time fleet_tick = 0;
+  auto kill = [&](ProcessId victim) {
+    if (!sup.child(victim).running) return;
+    sup.kill(victim, opts.restartable_crashes);
+    relaunch_at[static_cast<std::size_t>(victim)] =
+        fleet_tick + opts.restart_after;
+  };
+
+  const auto step = [&](std::chrono::steady_clock::time_point wall,
+                        const Sup::Board& board) {
+    fleet_tick = 0;
+    for (const Sup::View& v : board) {
+      if (v.have_status) fleet_tick = std::max(fleet_tick, v.status.clock);
     }
 
-    // Snapshot the board.
-    Time fleet_tick = 0;
-    std::vector<NodeView> snap;
-    bool dirty = false;
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      snap = views;
-      dirty = directory_dirty;
-      directory_dirty = false;
-    }
-    for (const NodeView& v : snap) {
-      if (v.have_status && v.status.clock > fleet_tick) {
-        fleet_tick = v.status.clock;
-      }
-    }
-
-    // Port directory: rebroadcast to every up node whenever any stream
-    // (re)establishes, so dialers learn restarted peers' fresh ports.
-    if (dirty) {
-      WirePeers peers;
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        const NodeView& v = snap[static_cast<std::size_t>(p)];
-        if (v.data_port != 0) peers.ports.push_back({p, v.data_port});
-      }
-      auto payload = encode_peers(peers);
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        if (snap[static_cast<std::size_t>(p)].up) {
-          reactor.send(p, FrameType::kPeers, payload);
-        }
-      }
-    }
-
-    // Scripted crashes: real SIGKILL at the scripted tick.
+    // Scripted crashes at the scripted tick.
     for (CrashState& cs : crashes) {
       if (cs.applied || fleet_tick < cs.c.at) continue;
       cs.applied = true;
-      const ProcessId victim = cs.c.victim;
-      Child& c = children[static_cast<std::size_t>(victim)];
-      if (!c.running) continue;
-      hard_kill(victim);
-      ++crash_count;
-      if (opts.restartable_crashes) {
-        c.awaiting_relaunch = true;
-        c.relaunch_at = fleet_tick + opts.restart_after;
-      } else {
-        c.permanently_dead = true;
-      }
+      kill(cs.c.victim);
     }
 
     // Perform-triggered kills: fire the moment the victim's DURABLE state
     // shows a perform — the dagger construction's timing.
-    if (!perform_kills_pending.empty()) {
-      for (auto it = perform_kills_pending.begin();
-           it != perform_kills_pending.end();) {
-        const ProcessId victim = *it;
-        const NodeView& v = snap[static_cast<std::size_t>(victim)];
-        Child& c = children[static_cast<std::size_t>(victim)];
-        if (c.running && v.have_status && !v.status.performs.empty()) {
-          hard_kill(victim);
-          ++crash_count;
-          if (opts.restartable_crashes) {
-            c.awaiting_relaunch = true;
-            c.relaunch_at = fleet_tick + opts.restart_after;
-          } else {
-            c.permanently_dead = true;
-          }
-          it = perform_kills_pending.erase(it);
-        } else {
-          ++it;
-        }
+    for (auto it = perform_kills_pending.begin();
+         it != perform_kills_pending.end();) {
+      const Sup::View& v = board[static_cast<std::size_t>(*it)];
+      if (sup.child(*it).running && v.have_status &&
+          !v.status.performs.empty()) {
+        kill(*it);
+        it = perform_kills_pending.erase(it);
+      } else {
+        ++it;
       }
     }
     if (has_perform_kills && perform_kills_pending.empty() &&
@@ -341,28 +165,12 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
       kills_settling = true;
       settle_deadline = wall + opts.settle_after_kills;
     }
-    if (kills_settling && wall >= settle_deadline) break;
+    if (kills_settling && wall >= settle_deadline) return true;
 
-    // Relaunches: epoch+1, same WAL directory — recovery is the node's job.
     for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (c.awaiting_relaunch && fleet_tick >= c.relaunch_at) {
-        ++restart_count;
-        launch(p, c.epoch + 1);
-      }
-    }
-
-    // Unexpected deaths (a node hit exit 2/3 or crashed on its own): reap
-    // so they do not linger as zombies; conformance accounting at the end.
-    for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (!c.running) continue;
-      int st = 0;
-      if (::waitpid(c.pid, &st, WNOHANG) == c.pid) {
-        c.exit_status = st;
-        c.reaped = true;
-        c.running = false;
-        c.permanently_dead = true;
+      if (sup.child(p).awaiting_relaunch &&
+          fleet_tick >= relaunch_at[static_cast<std::size_t>(p)]) {
+        sup.relaunch(p);
       }
     }
 
@@ -375,20 +183,14 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
         all_resolved = false;
         continue;
       }
-      const auto owner = static_cast<std::size_t>(ds.d.p);
-      const Child& c = children[owner];
-      const NodeView& v = snap[owner];
-      const bool durable =
-          v.have_status &&
-          std::find(v.status.inits.begin(), v.status.inits.end(),
-                    ds.d.action) != v.status.inits.end();
-      if (durable) continue;
-      if (c.permanently_dead && !c.awaiting_relaunch) continue;  // excused
+      const Sup::View& v = board[static_cast<std::size_t>(ds.d.p)];
+      if (v.have_status && lists(v.status.inits, ds.d.action)) continue;
+      if (sup.child(ds.d.p).permanently_dead) continue;  // excused
       all_resolved = false;
       if (v.up && wall >= ds.next_send) {
         WireInit wi;
         wi.action = ds.d.action;
-        reactor.send(ds.d.p, FrameType::kInit, encode_init(wi));
+        sup.reactor().send(ds.d.p, FrameType::kInit, encode_init(wi));
         ds.next_send = wall + kInitResend;
       }
     }
@@ -396,153 +198,50 @@ FleetVerdict run_fleet(const FleetOptions& opts) {
     // Completion: every directive durably initiated (or excused by a
     // permanent death), nobody awaiting relaunch, and every durably
     // initiated action durably performed at every surviving node.
-    if (!all_resolved) continue;
-    bool any_pending = false;
-    for (const Child& c : children) any_pending |= c.awaiting_relaunch;
-    if (any_pending) continue;
+    if (!all_resolved) return false;
+    for (const Child& c : sup.children()) {
+      if (c.awaiting_relaunch) return false;
+    }
     std::set<ActionId> initiated;
-    for (const NodeView& v : snap) {
-      if (!v.have_status) continue;
-      initiated.insert(v.status.inits.begin(), v.status.inits.end());
-    }
-    bool done = true;
-    for (ProcessId p = 0; p < opts.n && done; ++p) {
-      const Child& c = children[static_cast<std::size_t>(p)];
-      if (c.permanently_dead) continue;
-      const NodeView& v = snap[static_cast<std::size_t>(p)];
-      if (!v.have_status) {
-        done = false;
-        break;
-      }
-      for (ActionId a : initiated) {
-        if (std::find(v.status.performs.begin(), v.status.performs.end(),
-                      a) == v.status.performs.end()) {
-          done = false;
-          break;
-        }
+    for (const Sup::View& v : board) {
+      if (v.have_status) {
+        initiated.insert(v.status.inits.begin(), v.status.inits.end());
       }
     }
-    if (done) break;
-  }
-
-  // --- shutdown -------------------------------------------------------------
-  // kStop is RE-SENT until each node dies: a node whose control stream was
-  // momentarily down (mid-reconnect after a kill, say) would miss a
-  // one-shot broadcast forever and then be mis-scored as a straggler.
-  // Resending is idempotent — a stopping node's mailbox is closed.
-  const auto stop_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(5'000);
-  auto next_stop_send = std::chrono::steady_clock::now();
-  for (;;) {
-    if (std::chrono::steady_clock::now() >= next_stop_send) {
-      for (ProcessId p = 0; p < opts.n; ++p) {
-        if (children[static_cast<std::size_t>(p)].running) {
-          reactor.send(p, FrameType::kStop, {});
-        }
-      }
-      next_stop_send =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-    }
-    bool any_running = false;
     for (ProcessId p = 0; p < opts.n; ++p) {
-      Child& c = children[static_cast<std::size_t>(p)];
-      if (!c.running) continue;
-      int st = 0;
-      if (::waitpid(c.pid, &st, WNOHANG) == c.pid) {
-        c.exit_status = st;
-        c.reaped = true;
-        c.running = false;
-      } else {
-        any_running = true;
+      if (sup.child(p).permanently_dead) continue;
+      const Sup::View& v = board[static_cast<std::size_t>(p)];
+      if (!v.have_status) return false;
+      for (ActionId a : initiated) {
+        if (!lists(v.status.performs, a)) return false;
       }
     }
-    if (!any_running || std::chrono::steady_clock::now() >= stop_deadline) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  bool clean_exits = true;
-  for (ProcessId p = 0; p < opts.n; ++p) {
-    Child& c = children[static_cast<std::size_t>(p)];
-    if (c.running) {
-      // Straggler: it ignored kStop within the grace window.
-      ::kill(c.pid, SIGKILL);
-      int st = 0;
-      ::waitpid(c.pid, &st, 0);
-      c.exit_status = st;
-      c.reaped = true;
-      c.running = false;
-      clean_exits = false;
-    } else if (!c.killed_by_us && c.reaped &&
-               !(WIFEXITED(c.exit_status) &&
-                 WEXITSTATUS(c.exit_status) == 0)) {
-      clean_exits = false;
-    }
-  }
-  reactor.stop();
-
-  // --- merge: the shards ARE the run ---------------------------------------
-  struct MergedRecord {
-    Time tick = 0;
-    ProcessId p = kInvalidProcess;
-    std::size_t idx = 0;  // per-shard order, the sort tiebreaker
-    Event e;
+    return true;
   };
-  std::vector<MergedRecord> merged;
-  FleetVerdict v;
-  for (ProcessId p = 0; p < opts.n; ++p) {
-    ProcessStore shard(opts.run_dir, p, opts.store, {});
-    std::vector<StoreRecord> records = shard.recover();
-    Time last_tick = 0;
-    std::size_t idx = 0;
-    for (const StoreRecord& r : records) {
-      merged.push_back({r.t, p, idx++, r.e});
-      if (r.t > last_tick) last_tick = r.t;
-    }
-    const Child& c = children[static_cast<std::size_t>(p)];
-    if (c.permanently_dead && !c.awaiting_relaunch) {
-      // R4: the kill was this process's last event.  The shard cannot
-      // contain the crash (SIGKILL writes nothing); synthesize it one tick
-      // past everything the disk remembers.
-      merged.push_back({last_tick + 1, p, idx, Event::crash()});
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const MergedRecord& a, const MergedRecord& b) {
-                     if (a.tick != b.tick) return a.tick < b.tick;
-                     if (a.p != b.p) return a.p < b.p;
-                     return a.idx < b.idx;
-                   });
-  // One event per Builder step: R2 by construction, and the Lamport sort
-  // guarantees each kRecv lands on a strictly later step than its kSend
-  // (recv tick > send tick), so build()'s R3 validation passes iff the
-  // durable-send gate actually held.
-  Run::Builder b(opts.n);
-  for (const MergedRecord& r : merged) {
-    b.append(r.p, r.e);
-    b.end_step();
-  }
-  v.run = std::move(b).build();
 
-  // --- verdict --------------------------------------------------------------
-  v.status = status;
-  v.clean_exits = clean_exits;
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto& [key, rc] : counters_by) v.counters.merge(rc);
+  FleetVerdict v;
+  v.status = sup.drive(std::chrono::steady_clock::now() + opts.deadline, step);
+  v.clean_exits = sup.shutdown();
+
+  // The shards ARE the run.
+  std::vector<ShardRecord> merged;
+  for (ProcessId p = 0; p < opts.n; ++p) {
+    std::vector<ShardRecord> shard = read_shard(opts.run_dir, p, opts.store);
+    if (sup.child(p).permanently_dead) append_crash(p, &shard);
+    merged.insert(merged.end(), shard.begin(), shard.end());
   }
-  fold_wire_counters(reactor.counters(), &v.counters);
-  v.counters.crashes = crash_count;
-  v.counters.restarts = restart_count;
+  v.counters = sup.counters();
   v.counters.events_recorded = merged.size();
+  v.run = merge_shards(opts.n, std::move(merged));
+
   v.actions = workload_actions(opts.workload);
   v.coord = opts.restartable_crashes
                 ? check_nudc(*v.run, v.actions, opts.grace)
                 : check_udc(*v.run, v.actions, opts.grace);
   v.fd = check_fd_properties(*v.run, opts.grace);
   v.accuracy = check_eventual_accuracy(*v.run);
-  v.conformant =
-      status == BudgetStatus::kComplete && v.coord.achieved() && clean_exits;
+  v.conformant = v.status == BudgetStatus::kComplete && v.coord.achieved() &&
+                 v.clean_exits;
   return v;
 }
 

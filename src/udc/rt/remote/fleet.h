@@ -22,7 +22,8 @@
 // victims (R4), and pushes the lifted Run through the EXISTING DC1-DC3 /
 // FD-property checkers.  The conformance claim is the same as run_live's,
 // one level harder: a fleet of OS processes killed mid-execution is still a
-// run of the paper's model.
+// run of the paper's model.  The process and wire plumbing is the shared
+// supervisor (rt/remote/supervisor.h); this file is the model's policy.
 #pragma once
 
 #include <chrono>

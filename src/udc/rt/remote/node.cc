@@ -1,14 +1,10 @@
 #include "udc/rt/remote/node.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <optional>
 #include <set>
-#include <sstream>
-#include <thread>
 #include <utility>
 
 #include "udc/chaos/fault_script.h"
@@ -18,9 +14,8 @@
 #include "udc/event/event.h"
 #include "udc/net/wire.h"
 #include "udc/rt/mailbox.h"
-#include "udc/rt/remote/lamport.h"
+#include "udc/rt/remote/node_shell.h"
 #include "udc/sim/process.h"
-#include "udc/store/group_commit.h"
 
 namespace udc {
 
@@ -101,39 +96,13 @@ void fold_wire_counters(const WireCounters& w, RuntimeCounters* c) {
 
 namespace {
 
-// Records one event: Lamport tick, durable append, in-memory mirror (the
-// status scanner walks the mirror up to the store's durable floor).  Worker
-// thread only — the reactor thread never records, it only enqueues mail.
-class NodeRecorder {
- public:
-  NodeRecorder(LamportClock& clock, ProcessStore& store,
-               std::vector<Event>& mirror)
-      : clock_(clock), store_(store), mirror_(mirror) {}
-
-  // Returns the tick the event was recorded at; after the call,
-  // mirror_len() is the durable-send gate for this event.
-  Time record(const Event& e) {
-    const Time t = clock_.tick();
-    store_.append(t, e);
-    mirror_.push_back(e);
-    return t;
-  }
-
-  std::size_t mirror_len() const { return mirror_.size(); }
-
- private:
-  LamportClock& clock_;
-  ProcessStore& store_;
-  std::vector<Event>& mirror_;
-};
-
 // The cross-process Env: record-then-transmit with the durable-send gate.
 // Replay mode mirrors RtEnv's (rt/runtime.cc): sends are swallowed — peers'
 // ARQ retransmissions regrow them — and performs re-record only what the
 // recovered log does not already contain.
 class NodeEnv final : public Env {
  public:
-  NodeEnv(ProcessId self, int n, LamportClock& clock, NodeRecorder& rec,
+  NodeEnv(ProcessId self, int n, LamportClock& clock, EventRecorder& rec,
           RemoteTransport& transport)
       : self_(self), n_(n), clock_(clock), rec_(rec), transport_(transport) {}
 
@@ -167,37 +136,11 @@ class NodeEnv final : public Env {
   ProcessId self_;
   int n_;
   LamportClock& clock_;
-  NodeRecorder& rec_;
+  EventRecorder& rec_;
   RemoteTransport& transport_;
   bool live_ = true;
   std::set<ActionId> wal_performed_;
 };
-
-FaultScript load_script(const std::string& path) {
-  if (path.empty()) return {};
-  std::ifstream in(path);
-  UDC_CHECK(in.good(), "node: cannot open fault script file");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FaultScript::parse(text.str());
-}
-
-// A partition window that cuts BOTH directions of the (self, peer) pair is
-// lowered to a refuse window: the reactor tears the stream down and bounces
-// the peer's handshake while the window is open.  One-directional windows
-// stay in the drop shim (a live TCP stream that eats one direction).
-bool bidirectional_cut(const FaultScript& script, ProcessId self,
-                       ProcessId peer, Time now) {
-  bool fwd = false;
-  bool rev = false;
-  for (const PartitionWindow& w : script.partitions) {
-    if (now < w.from || now >= w.heal) continue;
-    if (w.senders.contains(self) && w.recipients.contains(peer)) fwd = true;
-    if (w.senders.contains(peer) && w.recipients.contains(self)) rev = true;
-    if (fwd && rev) return true;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -211,85 +154,30 @@ int run_node(const NodeOptions& opts) {
             "node: wal dir missing");
   UDC_CHECK(opts.resend_interval >= 1, "node: bad resend interval");
 
-  const FaultScript script = load_script(opts.script_file);
-
-  // Durable state first: an epoch > 0 node recovers what its previous
-  // incarnation managed to persist before the SIGKILL landed.
-  ProcessStore store(opts.wal_dir, opts.id, opts.store, {});
-  std::vector<Event> mirror;
-  std::set<ActionId> my_inits;  // recorded (not necessarily durable) kInits
-  std::set<ActionId> wal_performed;
-  Time recovered_tick = 0;  // last recovered tick: logical time resumes past it
-  if (opts.epoch > 0) {
-    for (const StoreRecord& r : store.recover()) {
-      mirror.push_back(r.e);
-      if (r.t > recovered_tick) recovered_tick = r.t;
-      if (r.e.kind == EventKind::kInit) my_inits.insert(r.e.action);
-      if (r.e.kind == EventKind::kDo) wal_performed.insert(r.e.action);
-    }
-  }
-  std::optional<GroupCommitter> committer;
-  if (opts.store.group_commit) {
-    committer.emplace(
-        GroupCommitOptions{opts.store.barrier, opts.store.flusher_threads});
-    committer->attach(&store);
-  }
-
-  LamportClock clock(recovered_tick);
-  NodeRecorder rec(clock, store, mirror);
-
-  Mailbox mailbox;
-  AtomicRuntimeCounters atomic_counters;
-
   // --- wire plane -----------------------------------------------------------
-  ReactorOptions ropts;
-  ropts.self = opts.id;
-  ropts.n = opts.n;
-  ropts.epoch = opts.epoch;
-  ropts.run_id = opts.run_id;
-  ropts.seed = opts.seed ^ 0x77697265ull;  // "wire"
-  std::atomic<bool> sup_up{false};
-  std::atomic<bool> sup_ever_up{false};
-
   RemoteTransport* transport_ptr = nullptr;
-  Reactor reactor(
-      ropts,
+  NodeShell<RtMail> shell(
+      {.id = opts.id,
+       .n = opts.n,
+       .epoch = opts.epoch,
+       .run_id = opts.run_id,
+       .supervisor_port = opts.supervisor_port,
+       .data_port = opts.data_port,
+       .dir = opts.wal_dir,
+       .script_file = opts.script_file,
+       .store = opts.store,
+       .orphan_after = opts.orphan_after,
+       .reactor_seed = opts.seed ^ 0x77697265ull},  // "wire"
       [&](ProcessId peer, std::uint64_t epoch, const WireFrame& f) {
         if (peer == kSupervisorPeer) {
-          switch (f.type) {
-            case FrameType::kInit: {
-              if (auto i = decode_init(f.payload.data(), f.payload.size())) {
-                RtMail m;
-                m.kind = RtMail::Kind::kInit;
-                m.action = i->action;
-                mailbox.push(std::move(m));
-              }
-              break;
-            }
-            case FrameType::kStop: {
-              RtMail m;
-              m.kind = RtMail::Kind::kStop;
-              mailbox.push(std::move(m));
-              break;
-            }
-            case FrameType::kPeers: {
-              if (auto p = decode_peers(f.payload.data(), f.payload.size())) {
-                // One dialer per pair: we dial only peers below our id (we
-                // accept the rest), so duplicate streams cannot arise.
-                for (const auto& [pid, port] : p->ports) {
-                  if (pid >= 0 && pid < opts.id && port != 0) {
-                    reactor.set_endpoint(pid, port);
-                  }
-                }
-              }
-              break;
-            }
-            default:
-              break;
+          if (f.type != FrameType::kInit) return;
+          if (auto i = decode_init(f.payload.data(), f.payload.size())) {
+            RtMail m;
+            m.kind = RtMail::Kind::kInit;
+            m.action = i->action;
+            shell.mailbox().push(std::move(m));
           }
-          return;
-        }
-        if (f.type == FrameType::kData) {
+        } else if (f.type == FrameType::kData) {
           if (auto d = decode_data(f.payload.data(), f.payload.size())) {
             transport_ptr->on_wire_data(peer, epoch, *d);
           }
@@ -299,22 +187,20 @@ int run_node(const NodeOptions& opts) {
           }
         }
       },
-      [&](ProcessId peer, std::uint64_t /*epoch*/, bool up,
-          std::uint16_t /*data_port*/) {
-        if (peer == kSupervisorPeer) {
-          sup_up.store(up, std::memory_order_relaxed);
-          if (up) sup_ever_up.store(true, std::memory_order_relaxed);
-        } else if (up) {
-          // Reconnect-as-rejoin: the dead stream took in-flight frames with
-          // it; re-arm every pending send for immediate retransmission.
-          transport_ptr->on_peer_up(peer);
-        }
-      });
+      // Reconnect-as-rejoin: the dead stream took in-flight frames with it;
+      // re-arm every pending send for immediate retransmission.
+      [&](ProcessId peer) { transport_ptr->on_peer_up(peer); });
+  Reactor& reactor = shell.reactor();
+  LamportClock& clock = shell.clock();
+  EventRecorder& rec = shell.recorder();
+  const std::vector<Event>& mirror = shell.mirror();
+  std::set<ActionId> my_inits = shell.recovered().inits;  // recorded kInits
+  AtomicRuntimeCounters atomic_counters;
 
   // Chaos shim: scripted silences, partitions and bursts become real
   // socket-level drops, applied to outbound kData frames only (handshake,
   // keepalive and acks are infrastructure beneath the script's channels).
-  ScriptDropPolicy drop_policy(script, opts.background_drop);
+  ScriptDropPolicy drop_policy(shell.script(), opts.background_drop);
   Rng shim_rng(opts.seed ^ 0x7368696dull);  // "shim"
   reactor.set_shim([&](ProcessId peer, const WireFrame& f) {
     if (f.type != FrameType::kData || peer == kSupervisorPeer) return true;
@@ -323,9 +209,7 @@ int run_node(const NodeOptions& opts) {
     return !drop_policy.drop(opts.id, peer, d->msg, clock.now(), shim_rng);
   });
 
-  const std::uint16_t data_port = reactor.listen(opts.data_port);
-  (void)data_port;  // advertised automatically (hellos carry the bound port)
-
+  ProcessStore& store = shell.store();
   RemoteTransport transport(
       opts.id, opts.n, opts.transport, reactor,
       [&store] { return store.durable_floor(); },
@@ -337,13 +221,11 @@ int run_node(const NodeOptions& opts) {
         m.from = from;
         m.msg = msg;
         m.send_tick = send_tick;
-        mailbox.push(std::move(m));
+        shell.mailbox().push(std::move(m));
       },
       atomic_counters, opts.seed);
   transport_ptr = &transport;
-
-  reactor.set_endpoint(kSupervisorPeer, opts.supervisor_port);
-  reactor.start();
+  shell.start();
 
   // --- protocol plane -------------------------------------------------------
   const ProtocolFactory factory =
@@ -357,14 +239,14 @@ int run_node(const NodeOptions& opts) {
     // Replay the recovered prefix through a fresh protocol instance, then
     // tell every peer we restarted from a possibly lossy disk (kRejoin,
     // reliable but unrecorded) so they withdraw stale ack-state.
-    env.begin_replay(wal_performed);
+    const std::vector<ActionId>& dos = shell.recovered().dos;
+    env.begin_replay(std::set<ActionId>(dos.begin(), dos.end()));
     proto->on_start(env);
     // Replay only the recovered prefix, by index and by copy: a replayed
     // handler may call env.perform (re-recording a kDo lost from the WAL
     // suffix), which appends to `mirror` and would invalidate range-for
     // iterators mid-loop.
-    const std::size_t recovered = mirror.size();
-    for (std::size_t i = 0; i < recovered; ++i) {
+    for (std::size_t i = 0; i < shell.recovered().events; ++i) {
       const Event e = mirror[i];
       switch (e.kind) {
         case EventKind::kInit:
@@ -398,9 +280,6 @@ int run_node(const NodeOptions& opts) {
   hb_msg.kind = MsgKind::kHeartbeat;
   Time next_hb = 0;
 
-  // Refuse-window edge tracking, one flag per peer.
-  std::vector<bool> refusing(static_cast<std::size_t>(opts.n), false);
-
   // Status plumbing: everything reported derives from the DURABLE prefix.
   std::set<ActionId> durable_inits;
   std::set<ActionId> durable_performs;
@@ -420,65 +299,40 @@ int run_node(const NodeOptions& opts) {
     s.durable_events = limit;
     s.inits.assign(durable_inits.begin(), durable_inits.end());
     s.performs.assign(durable_performs.begin(), durable_performs.end());
-    RuntimeCounters rc = atomic_counters.snapshot();
-    rc.suspicions = detector.suspicions_raised();
-    rc.false_suspicions = detector.false_suspicions();
-    rc.trust_restores = detector.trust_restores();
-    fold_wire_counters(reactor.counters(), &rc);
-    const StoreCounters sc = store.counters();
-    rc.wal_frames_replayed = sc.wal_frames_replayed;
-    rc.snapshots_written = sc.snapshots_written;
-    rc.snapshots_loaded = sc.snapshots_loaded;
-    rc.torn_tails_truncated = sc.torn_tails_truncated;
-    rc.recoveries_total = sc.recoveries_total;
-    rc.wal_group_commits = sc.group_commits;
-    s.counters = pack_node_counters(rc);
+    s.counters = pack_node_counters(
+        shell.counters(atomic_counters.snapshot(), detector));
     s.done = done;
     reactor.send(kSupervisorPeer, FrameType::kStatus, encode_status(s));
   };
 
-  constexpr auto kStatusEvery = std::chrono::milliseconds(2);
-  auto next_status = std::chrono::steady_clock::now();
-  auto sup_down_since = std::chrono::steady_clock::now();
-  bool stopping = false;
-  int exit_code = 0;
-
-  while (!stopping) {
-    auto mail = mailbox.pop_for(std::chrono::microseconds(300));
-    if (mail) {
-      if (mail->kind == RtMail::Kind::kStop) {
-        stopping = true;
-      } else if (mail->kind == RtMail::Kind::kInit) {
-        // The supervisor re-sends kInit until our status proves the init is
-        // durable; dedupe against everything this node ever recorded (the
-        // recovered prefix plus this incarnation).  An init the WAL LOST is
-        // correctly absent here and re-records — the shard is the only
-        // source for this node's events, so no duplicate can arise.
-        if (my_inits.count(mail->action) == 0) {
-          my_inits.insert(mail->action);
-          rec.record(Event::init(mail->action));
-          proto->on_init(mail->action, env);
-        }
-      } else if (mail->msg.kind == MsgKind::kHeartbeat) {
-        detector.observe_heartbeat(mail->from, clock.now());
-      } else if (mail->msg.kind == MsgKind::kRejoin) {
-        proto->on_peer_recovered(mail->from, env);
-      } else {
-        const Time rt = rec.record(Event::recv(mail->from, mail->msg));
-        // R3 over real sockets: the sender recorded its kSend at send_tick,
-        // the envelope carried the sender's clock, observe() folded it in
-        // before this mail was enqueued — so our recv tick must exceed it.
-        UDC_CHECK(mail->send_tick == 0 || rt > mail->send_tick,
-                  "node: recv tick did not exceed send tick (R3)");
-        proto->on_receive(mail->from, mail->msg, env);
+  auto on_mail = [&](const RtMail& mail,
+                     std::chrono::steady_clock::time_point) {
+    if (mail.kind == RtMail::Kind::kInit) {
+      // The supervisor re-sends kInit until our status proves the init is
+      // durable; dedupe against everything this node ever recorded (the
+      // recovered prefix plus this incarnation).  An init the WAL LOST is
+      // correctly absent here and re-records — the shard is the only
+      // source for this node's events, so no duplicate can arise.
+      if (my_inits.insert(mail.action).second) {
+        rec.record(Event::init(mail.action));
+        proto->on_init(mail.action, env);
       }
+    } else if (mail.msg.kind == MsgKind::kHeartbeat) {
+      detector.observe_heartbeat(mail.from, clock.now());
+    } else if (mail.msg.kind == MsgKind::kRejoin) {
+      proto->on_peer_recovered(mail.from, env);
     } else {
-      // Idle: logical time advances anyway — heartbeat pacing, detector
-      // timeouts and script windows are all measured in these ticks.
-      clock.tick();
+      const Time rt = rec.record(Event::recv(mail.from, mail.msg));
+      // R3 over real sockets: the sender recorded its kSend at send_tick,
+      // the envelope carried the sender's clock, observe() folded it in
+      // before this mail was enqueued — so our recv tick must exceed it.
+      UDC_CHECK(mail.send_tick == 0 || rt > mail.send_tick,
+                "node: recv tick did not exceed send tick (R3)");
+      proto->on_receive(mail.from, mail.msg, env);
     }
+  };
 
-    const Time now = clock.now();
+  auto step = [&](Time now, std::chrono::steady_clock::time_point) {
     if (now >= next_hb) {
       for (ProcessId q = 0; q < opts.n; ++q) {
         if (q != opts.id) transport.send_heartbeat(q, hb_msg);
@@ -491,46 +345,9 @@ int run_node(const NodeOptions& opts) {
     }
     proto->on_tick(env);
     transport.pump();
+  };
 
-    // Bidirectional partition windows become refuse windows: real stream
-    // teardown plus handshake bounce for as long as the window is open.
-    for (ProcessId q = 0; q < opts.n; ++q) {
-      if (q == opts.id) continue;
-      const bool cut = bidirectional_cut(script, opts.id, q, now);
-      if (cut != refusing[static_cast<std::size_t>(q)]) {
-        refusing[static_cast<std::size_t>(q)] = cut;
-        reactor.set_refuse(q, cut);
-      }
-    }
-
-    const auto wall = std::chrono::steady_clock::now();
-    if (wall >= next_status) {
-      if (sup_up.load(std::memory_order_relaxed)) send_status(false);
-      next_status = wall + kStatusEvery;
-    }
-
-    // Orphan watchdog: a SIGKILLed supervisor must not leave this process
-    // running forever.  The clock starts once we have connected at least
-    // once (startup dialing is not orphanhood).
-    if (sup_up.load(std::memory_order_relaxed) ||
-        !sup_ever_up.load(std::memory_order_relaxed)) {
-      sup_down_since = wall;
-    } else if (wall - sup_down_since > opts.orphan_after) {
-      stopping = true;
-      exit_code = 3;
-    }
-  }
-
-  // Orderly exit: make everything durable, report the final durable state
-  // with done=true, give the frame a moment to drain, then tear down.
-  if (committer) committer->stop();
-  store.flush();
-  if (exit_code == 0 && sup_up.load(std::memory_order_relaxed)) {
-    send_status(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  reactor.stop();
-  return exit_code;
+  return shell.run(on_mail, step, send_status);
 }
 
 }  // namespace udc

@@ -24,6 +24,8 @@
 //
 // A node whose supervisor stream stays down past `orphan_after` exits with
 // code 3: a SIGKILLed supervisor must not leave the fleet running forever.
+// The process plumbing (store, recorder, mailbox, wire, main loop, exit) is
+// the node shell (rt/remote/node_shell.h), shared with run_svc_node.
 #pragma once
 
 #include <chrono>

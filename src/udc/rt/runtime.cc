@@ -227,7 +227,7 @@ struct WorkerResult {
 struct WorkerArgs {
   ProcessId id = 0;
   int n = 0;
-  std::shared_ptr<Mailbox> mailbox;
+  std::shared_ptr<Mailbox<RtMail>> mailbox;
   TraceRecorder* rec = nullptr;
   RtTransport* transport = nullptr;
   Board* board = nullptr;
@@ -424,9 +424,9 @@ RtVerdict run_live(const RtOptions& opts) {
   // Mailbox registry: the transport's dispatcher resolves recipients here;
   // the supervisor swaps entries on restart, so access is mutex-guarded.
   std::mutex slots_mu;
-  std::vector<std::shared_ptr<Mailbox>> slots(
+  std::vector<std::shared_ptr<Mailbox<RtMail>>> slots(
       static_cast<std::size_t>(opts.n));
-  for (auto& s : slots) s = std::make_shared<Mailbox>();
+  for (auto& s : slots) s = std::make_shared<Mailbox<RtMail>>();
 
   std::atomic<std::size_t> mailbox_refused{0};
   RtTransport transport(
@@ -436,7 +436,7 @@ RtVerdict run_live(const RtOptions& opts) {
       [&slots_mu, &slots, &mailbox_refused](ProcessId from, ProcessId to,
                                             const Message& msg,
                                             Time send_tick) {
-        std::shared_ptr<Mailbox> mb;
+        std::shared_ptr<Mailbox<RtMail>> mb;
         {
           std::lock_guard<std::mutex> lock(slots_mu);
           mb = slots[static_cast<std::size_t>(to)];
@@ -571,7 +571,8 @@ RtVerdict run_live(const RtOptions& opts) {
       ++restart_count;
       {
         std::lock_guard<std::mutex> lock(slots_mu);
-        slots[static_cast<std::size_t>(p)] = std::make_shared<Mailbox>();
+        slots[static_cast<std::size_t>(p)] =
+            std::make_shared<Mailbox<RtMail>>();
       }
       w.down = false;
       if (durable) {
@@ -616,7 +617,7 @@ RtVerdict run_live(const RtOptions& opts) {
         continue;
       }
       if (workers[static_cast<std::size_t>(ds.d.p)].down) continue;
-      std::shared_ptr<Mailbox> mb;
+      std::shared_ptr<Mailbox<RtMail>> mb;
       {
         std::lock_guard<std::mutex> lock(slots_mu);
         mb = slots[static_cast<std::size_t>(ds.d.p)];

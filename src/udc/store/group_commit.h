@@ -15,9 +15,8 @@
 //      pwritev (cheap, microseconds), and the store's WAL hands back the
 //      descriptors that need a barrier while holding its drain lock;
 //   2. barrier — ALL descriptors are fdatasync'd at once through a
-//      SyncBarrier engine (io_uring batch where the kernel allows it, a
-//      flusher-thread pool otherwise, serial as the last resort), and only
-//      then does each store advance its synced watermark and bump its
+//      SyncBarrier engine (a flusher-thread pool, or serial), and only then
+//      does each store advance its synced watermark and bump its
 //      group-commit counters.
 //
 // A round fires when a store accumulates `commit_every` unsynced frames
@@ -59,7 +58,7 @@ namespace udc {
 class ProcessStore;
 
 struct GroupCommitOptions {
-  CommitBarrier barrier = CommitBarrier::kAuto;
+  CommitBarrier barrier = CommitBarrier::kPool;
   int flusher_threads = 4;  // pool size when the pool engine is chosen
 };
 
@@ -86,8 +85,8 @@ class GroupCommitter {
   // Final flush_all, then joins the flusher.  Idempotent.
   void stop();
 
-  // Which barrier engine the committer resolved to ("io_uring", "pool",
-  // "serial") — diagnostics and tests.
+  // Which barrier engine the committer resolved to ("pool", "serial") —
+  // diagnostics and tests.
   const char* barrier_name() const { return barrier_->name(); }
 
  private:

@@ -76,8 +76,8 @@ struct StoreOptions {
   // (rt_default_store_options in rt/runtime.h).
   std::uint64_t segment_bytes = 0;  // >0: segmented WAL <wal>.seg-NNNNNN
   std::size_t ring_frames = 0;      // >0 + group_commit: staged appends
-  CommitBarrier barrier = CommitBarrier::kAuto;  // committer sync engine
-  int flusher_threads = 4;          // pool size for the kPool fallback
+  CommitBarrier barrier = CommitBarrier::kPool;  // committer sync engine
+  int flusher_threads = 4;          // pool size for the kPool engine
 };
 
 struct StoreCounters {

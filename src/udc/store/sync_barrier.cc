@@ -2,21 +2,13 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <memory>
 #include <mutex>
 #include <thread>
-
-#ifdef UDC_HAVE_LINUX_IO_URING
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#endif
 
 namespace udc {
 
@@ -125,155 +117,10 @@ class PoolBarrier : public SyncBarrier {
   std::vector<std::thread> workers_;
 };
 
-#ifdef UDC_HAVE_LINUX_IO_URING
-
-// Minimal raw-syscall io_uring: a queue of IORING_OP_FSYNC SQEs, one
-// io_uring_enter per batch.  Single-threaded use (guarded by mu_).
-class UringBarrier : public SyncBarrier {
- public:
-  static constexpr unsigned kEntries = 64;
-
-  // Throws nothing: `ok()` reports whether the rings came up.
-  UringBarrier() {
-    io_uring_params p;
-    std::memset(&p, 0, sizeof(p));
-    ring_fd_ = static_cast<int>(
-        ::syscall(__NR_io_uring_setup, kEntries, &p));
-    if (ring_fd_ < 0) return;
-
-    sq_ring_bytes_ = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    cq_ring_bytes_ = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-    const bool single_mmap = (p.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap && cq_ring_bytes_ > sq_ring_bytes_) {
-      sq_ring_bytes_ = cq_ring_bytes_;
-    }
-    sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_,
-                      IORING_OFF_SQ_RING);
-    if (sq_ring_ == MAP_FAILED) {
-      teardown();
-      return;
-    }
-    if (single_mmap) {
-      cq_ring_ = sq_ring_;
-      cq_ring_bytes_ = 0;  // shared mapping; unmap once
-    } else {
-      cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring_fd_,
-                        IORING_OFF_CQ_RING);
-      if (cq_ring_ == MAP_FAILED) {
-        teardown();
-        return;
-      }
-    }
-    sqes_bytes_ = p.sq_entries * sizeof(io_uring_sqe);
-    sqes_ = static_cast<io_uring_sqe*>(
-        ::mmap(nullptr, sqes_bytes_, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES));
-    if (sqes_ == MAP_FAILED) {
-      sqes_ = nullptr;
-      teardown();
-      return;
-    }
-
-    auto* sq = static_cast<std::uint8_t*>(sq_ring_);
-    sq_tail_ = reinterpret_cast<std::atomic<unsigned>*>(sq + p.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq + p.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + p.sq_off.array);
-    auto* cq = static_cast<std::uint8_t*>(cq_ring_);
-    cq_head_ = reinterpret_cast<std::atomic<unsigned>*>(cq + p.cq_off.head);
-    cq_tail_ = reinterpret_cast<std::atomic<unsigned>*>(cq + p.cq_off.tail);
-    ok_ = true;
-  }
-
-  ~UringBarrier() override { teardown(); }
-
-  bool ok() const { return ok_; }
-
-  void sync(const std::vector<int>& fds) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t done = 0;
-    while (done < fds.size()) {
-      const auto batch = static_cast<unsigned>(
-          std::min<std::size_t>(fds.size() - done, kEntries));
-      unsigned tail = sq_tail_->load(std::memory_order_relaxed);
-      for (unsigned i = 0; i < batch; ++i) {
-        const unsigned idx = (tail + i) & sq_mask_;
-        io_uring_sqe* sqe = &sqes_[idx];
-        std::memset(sqe, 0, sizeof(*sqe));
-        sqe->opcode = IORING_OP_FSYNC;
-        sqe->fd = fds[done + i];
-        sqe->fsync_flags = IORING_FSYNC_DATASYNC;
-        sq_array_[idx] = idx;
-      }
-      sq_tail_->store(tail + batch, std::memory_order_release);
-      unsigned reaped = 0;
-      while (reaped < batch) {
-        const long got = ::syscall(__NR_io_uring_enter, ring_fd_,
-                                   reaped == 0 ? batch : 0u, batch - reaped,
-                                   IORING_ENTER_GETEVENTS, nullptr, 0);
-        if (got < 0 && errno == EINTR) continue;
-        if (got < 0) break;  // degrade: leave the rest unsynced this round
-        unsigned head = cq_head_->load(std::memory_order_relaxed);
-        const unsigned cq_tail = cq_tail_->load(std::memory_order_acquire);
-        while (head != cq_tail) {
-          ++head;
-          ++reaped;
-        }
-        cq_head_->store(head, std::memory_order_release);
-      }
-      done += batch;
-    }
-  }
-
-  const char* name() const override { return "io_uring"; }
-
- private:
-  void teardown() {
-    if (sqes_ != nullptr) ::munmap(sqes_, sqes_bytes_);
-    if (cq_ring_ != nullptr && cq_ring_ != sq_ring_ && cq_ring_ != MAP_FAILED) {
-      ::munmap(cq_ring_, cq_ring_bytes_);
-    }
-    if (sq_ring_ != nullptr && sq_ring_ != MAP_FAILED) {
-      ::munmap(sq_ring_, sq_ring_bytes_);
-    }
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-    sqes_ = nullptr;
-    cq_ring_ = nullptr;
-    sq_ring_ = nullptr;
-    ring_fd_ = -1;
-    ok_ = false;
-  }
-
-  std::mutex mu_;
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  void* cq_ring_ = nullptr;
-  io_uring_sqe* sqes_ = nullptr;
-  std::size_t sq_ring_bytes_ = 0;
-  std::size_t cq_ring_bytes_ = 0;
-  std::size_t sqes_bytes_ = 0;
-  std::atomic<unsigned>* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned* sq_array_ = nullptr;
-  std::atomic<unsigned>* cq_head_ = nullptr;
-  std::atomic<unsigned>* cq_tail_ = nullptr;
-  bool ok_ = false;
-};
-
-#endif  // UDC_HAVE_LINUX_IO_URING
-
 }  // namespace
 
 std::unique_ptr<SyncBarrier> SyncBarrier::make(CommitBarrier mode,
                                                int flusher_threads) {
-#ifdef UDC_HAVE_LINUX_IO_URING
-  if (mode == CommitBarrier::kAuto || mode == CommitBarrier::kUring) {
-    auto uring = std::make_unique<UringBarrier>();
-    if (uring->ok()) return uring;
-    // Kernel or seccomp said no: fall through to the portable engines.
-  }
-#endif
   if (mode != CommitBarrier::kSerial && flusher_threads > 1) {
     return std::make_unique<PoolBarrier>(flusher_threads);
   }

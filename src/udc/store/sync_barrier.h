@@ -5,24 +5,16 @@
 // barriers convoy: each fdatasync is ~100-300µs of mostly-idle wait, so the
 // round costs n of them end to end.  The engines here overlap the waits:
 //
-//   * kUring — one io_uring submission carrying IORING_OP_FSYNC
-//     (IORING_FSYNC_DATASYNC) per fd; the kernel runs the barriers
-//     concurrently and one io_uring_enter reaps them all.  Raw syscalls
-//     (io_uring_setup / io_uring_enter + mmap'd rings), no liburing
-//     dependency; compiled only when <linux/io_uring.h> exists (the
-//     UDC_HAVE_LINUX_IO_URING CMake check) and constructed only when the
-//     kernel actually grants the rings (seccomp or an old kernel fails
-//     setup, not the build).
 //   * kPool — a persistent pool of flusher threads; each takes fds off a
-//     shared index and fdatasyncs them.  Portable fallback with the same
-//     overlap, at the cost of thread wakeups.
+//     shared index and fdatasyncs them.  The default.
 //   * kSerial — the PR 5 behavior, one blocking fdatasync per fd.  Also
 //     the degenerate pool (flusher_threads <= 1).
 //
-// kAuto picks the best available at construction: uring, else pool, else
-// serial.  sync() is called from one committer thread at a time; an
-// internal mutex makes stray concurrent callers (stop() racing a late
-// flush_all) safe rather than fast.
+// An io_uring engine (one IORING_OP_FSYNC submission per fd, reaped by one
+// io_uring_enter) was measured slower than the pool and removed
+// (EXPERIMENTS.md, DESIGN.md §11).  sync() is called from one committer
+// thread at a time; an internal mutex makes stray concurrent callers
+// (stop() racing a late flush_all) safe rather than fast.
 #pragma once
 
 #include <memory>
@@ -30,7 +22,7 @@
 
 namespace udc {
 
-enum class CommitBarrier { kAuto, kUring, kPool, kSerial };
+enum class CommitBarrier { kPool, kSerial };
 
 class SyncBarrier {
  public:
@@ -44,8 +36,8 @@ class SyncBarrier {
 
   virtual const char* name() const = 0;
 
-  // Builds the requested engine, falling back kUring -> kPool -> kSerial
-  // when the requested one is unavailable on this machine.
+  // Builds the requested engine; a pool of fewer than two threads is the
+  // serial engine.
   static std::unique_ptr<SyncBarrier> make(CommitBarrier mode,
                                            int flusher_threads);
 };

@@ -139,7 +139,7 @@ class SyncBarrier;
 // drains the ring (one pwritev per batch) and hands back the fds that still
 // need a durability barrier while HOLDING the writer's drain lock, so the
 // group committer can batch the fdatasyncs of many stores into one
-// io_uring submission (or one thread-pool round) and only then let each
+// flusher-pool round and only then let each
 // writer advance its synced watermark via finish_commit().
 struct WalCommitTicket {
   std::unique_lock<std::mutex> lock;  // the writer's drain mutex

@@ -23,7 +23,10 @@
 //     the replicated-log agreement checker,
 //   * exits must be clean: 0 or a SIGKILL the supervisor sent.
 // Client-observed latency quantiles and throughput ride along for the
-// bench harness.
+// bench harness.  A replica that exits on its own ends the run at once (it
+// will not come back); the verdict scores it through clean_exits.  The
+// process and wire plumbing is the shared supervisor
+// (rt/remote/supervisor.h).
 #pragma once
 
 #include <chrono>

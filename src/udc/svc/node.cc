@@ -2,29 +2,20 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <mutex>
-#include <optional>
 #include <set>
-#include <sstream>
-#include <thread>
 #include <utility>
 
-#include "udc/chaos/fault_script.h"
 #include "udc/common/budget.h"
 #include "udc/common/check.h"
 #include "udc/coord/action.h"
 #include "udc/event/event.h"
 #include "udc/net/reactor.h"
 #include "udc/net/wire.h"
-#include "udc/rt/remote/lamport.h"
-#include "udc/store/group_commit.h"
+#include "udc/rt/remote/node_shell.h"
 #include "udc/svc/lease.h"
 #include "udc/svc/log.h"
 #include "udc/svc/session.h"
@@ -83,84 +74,6 @@ struct Register {
   std::uint64_t version = 0;
 };
 
-// Worker input: one decoded frame with its sender, or the stop order.  The
-// svc node cannot reuse rt's Mailbox (RtMail carries model Messages); this
-// queue carries raw wire frames instead, same single-consumer discipline.
-struct SvcMail {
-  bool stop = false;
-  ProcessId peer = kInvalidProcess;
-  WireFrame frame;
-};
-
-class SvcMailQueue {
- public:
-  void push(SvcMail m) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(m));
-    }
-    cv_.notify_one();
-  }
-  std::optional<SvcMail> pop_for(std::chrono::microseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout, [this] { return !queue_.empty(); });
-    if (queue_.empty()) return std::nullopt;
-    SvcMail m = std::move(queue_.front());
-    queue_.pop_front();
-    return m;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<SvcMail> queue_;
-};
-
-// Same discipline as the rt node's recorder: Lamport tick, durable append,
-// in-memory mirror.  Worker thread only.
-class SvcRecorder {
- public:
-  SvcRecorder(LamportClock& clock, ProcessStore& store,
-              std::vector<Event>& mirror)
-      : clock_(clock), store_(store), mirror_(mirror) {}
-
-  Time record(const Event& e) {
-    const Time t = clock_.tick();
-    store_.append(t, e);
-    mirror_.push_back(e);
-    return t;
-  }
-
-  std::size_t mirror_len() const { return mirror_.size(); }
-
- private:
-  LamportClock& clock_;
-  ProcessStore& store_;
-  std::vector<Event>& mirror_;
-};
-
-FaultScript load_svc_script(const std::string& path) {
-  if (path.empty()) return {};
-  std::ifstream in(path);
-  UDC_CHECK(in.good(), "svc node: cannot open fault script file");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return FaultScript::parse(text.str());
-}
-
-bool bidirectional_cut(const FaultScript& script, ProcessId self,
-                       ProcessId peer, Time now) {
-  bool fwd = false;
-  bool rev = false;
-  for (const PartitionWindow& w : script.partitions) {
-    if (now < w.from || now >= w.heal) continue;
-    if (w.senders.contains(self) && w.recipients.contains(peer)) fwd = true;
-    if (w.senders.contains(peer) && w.recipients.contains(self)) rev = true;
-    if (fwd && rev) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int run_svc_node(const SvcNodeOptions& opts) {
@@ -172,31 +85,28 @@ int run_svc_node(const SvcNodeOptions& opts) {
   UDC_CHECK(opts.max_batch_ops >= 1 && opts.max_inflight_slots >= 1,
             "svc node: bad batching limits");
 
-  const FaultScript script = load_svc_script(opts.script_file);
-
-  // --- durable state --------------------------------------------------------
-  ProcessStore store(opts.dir, opts.id, opts.store, {});
-  std::vector<Event> mirror;
-  std::set<ActionId> my_inits;
-  std::vector<ActionId> wal_do_order;  // kDo replay order = apply order
-  Time recovered_tick = 0;
-  if (opts.epoch > 0) {
-    for (const StoreRecord& r : store.recover()) {
-      mirror.push_back(r.e);
-      if (r.t > recovered_tick) recovered_tick = r.t;
-      if (r.e.kind == EventKind::kInit) my_inits.insert(r.e.action);
-      if (r.e.kind == EventKind::kDo) wal_do_order.push_back(r.e.action);
-    }
-  }
-  std::optional<GroupCommitter> committer;
-  if (opts.store.group_commit) {
-    committer.emplace(
-        GroupCommitOptions{opts.store.barrier, opts.store.flusher_threads});
-    committer->attach(&store);
-  }
-
-  LamportClock clock(recovered_tick);
-  SvcRecorder rec(clock, store, mirror);
+  // Frames reach the worker as mail; the shell handles kStop and kPeers.
+  NodeShell<SvcMail> shell(
+      {.id = opts.id,
+       .n = opts.n,
+       .epoch = opts.epoch,
+       .run_id = opts.run_id,
+       .supervisor_port = opts.supervisor_port,
+       .data_port = opts.data_port,
+       .dir = opts.dir,
+       .script_file = opts.script_file,
+       .store = opts.store,
+       .orphan_after = opts.orphan_after,
+       .reactor_seed = opts.seed ^ 0x73766377ull,  // "svcw"
+       .accept_clients = true},
+      [&](ProcessId peer, std::uint64_t /*epoch*/, const WireFrame& f) {
+        if (peer != kSupervisorPeer) shell.mailbox().push({peer, f});
+      });
+  ProcessStore& store = shell.store();
+  LamportClock& clock = shell.clock();
+  EventRecorder& rec = shell.recorder();
+  Reactor& reactor = shell.reactor();
+  std::set<ActionId> my_inits = shell.recovered().inits;
 
   const std::string slog_path =
       opts.dir + "/svc-" + std::to_string(opts.id) + ".log";
@@ -260,7 +170,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
 
   // Replay applies in durable kDo order: an ack preceded every apply, so a
   // durable kDo is always backed by a durable service-log record.
-  for (ActionId a : wal_do_order) {
+  for (ActionId a : shell.recovered().dos) {
     auto it = by_action.find(a);
     UDC_CHECK(it != by_action.end(),
               "svc node: durable kDo without a service-log record");
@@ -304,53 +214,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
     }
   }
 
-  // --- wire plane -----------------------------------------------------------
-  SvcMailQueue mail;
-  ReactorOptions ropts;
-  ropts.self = opts.id;
-  ropts.n = opts.n;
-  ropts.epoch = opts.epoch;
-  ropts.run_id = opts.run_id;
-  ropts.seed = opts.seed ^ 0x73766377ull;  // "svcw"
-  ropts.accept_clients = true;
-  std::atomic<bool> sup_up{false};
-  std::atomic<bool> sup_ever_up{false};
-
-  Reactor reactor(
-      ropts,
-      [&](ProcessId peer, std::uint64_t /*epoch*/, const WireFrame& f) {
-        if (peer == kSupervisorPeer) {
-          if (f.type == FrameType::kStop) {
-            SvcMail m;
-            m.stop = true;
-            mail.push(std::move(m));
-          } else if (f.type == FrameType::kPeers) {
-            if (auto p = decode_peers(f.payload.data(), f.payload.size())) {
-              SvcMail m;
-              m.peer = peer;
-              m.frame = f;
-              mail.push(std::move(m));
-              (void)p;
-            }
-          }
-          return;
-        }
-        SvcMail m;
-        m.peer = peer;
-        m.frame = f;
-        mail.push(std::move(m));
-      },
-      [&](ProcessId peer, std::uint64_t /*epoch*/, bool up,
-          std::uint16_t /*data_port*/) {
-        if (peer == kSupervisorPeer) {
-          sup_up.store(up, std::memory_order_relaxed);
-          if (up) sup_ever_up.store(true, std::memory_order_relaxed);
-        }
-      });
-
-  reactor.listen(opts.data_port);
-  reactor.set_endpoint(kSupervisorPeer, opts.supervisor_port);
-  reactor.start();
+  shell.start();
 
   // --- failure detection, lease, admission budget ---------------------------
   HeartbeatDetector detector(opts.n, opts.id, opts.heartbeat, clock.now());
@@ -908,21 +772,10 @@ int run_svc_node(const SvcNodeOptions& opts) {
     s.sessions = sessions.size();
     prune_orphans();
     s.orphans = orphans.size();
-    s.durable_events = std::min(store.durable_floor(), mirror.size());
+    s.durable_events = std::min(store.durable_floor(), rec.mirror_len());
     s.syncing = syncing;
     s.done = done;
-    RuntimeCounters rc = svcc;
-    rc.suspicions = detector.suspicions_raised();
-    rc.false_suspicions = detector.false_suspicions();
-    rc.trust_restores = detector.trust_restores();
-    fold_wire_counters(reactor.counters(), &rc);
-    const StoreCounters sc = store.counters();
-    rc.wal_frames_replayed = sc.wal_frames_replayed;
-    rc.snapshots_written = sc.snapshots_written;
-    rc.snapshots_loaded = sc.snapshots_loaded;
-    rc.torn_tails_truncated = sc.torn_tails_truncated;
-    rc.recoveries_total = sc.recoveries_total;
-    rc.wal_group_commits = sc.group_commits;
+    const RuntimeCounters rc = shell.counters(svcc, detector);
     s.counters = pack_node_counters(rc);
     const auto svcv = pack_svc_counters(rc);
     s.counters.insert(s.counters.end(), svcv.begin(), svcv.end());
@@ -932,69 +785,45 @@ int run_svc_node(const SvcNodeOptions& opts) {
 
   // --- main loop ------------------------------------------------------------
   Time next_hb = 0;
-  std::vector<bool> refusing(static_cast<std::size_t>(opts.n), false);
-  constexpr auto kStatusEvery = std::chrono::milliseconds(2);
   constexpr auto kSyncRetryAfter = std::chrono::milliseconds(250);
-  auto next_status = std::chrono::steady_clock::now();
   auto next_prune = std::chrono::steady_clock::now();
   auto next_seal = std::chrono::steady_clock::now();
   auto next_resend = std::chrono::steady_clock::now();
   auto next_catchup = std::chrono::steady_clock::now();
-  auto sup_down_since = std::chrono::steady_clock::now();
-  bool stopping = false;
-  int exit_code = 0;
 
-  while (!stopping) {
-    auto m = mail.pop_for(std::chrono::microseconds(300));
-    const auto wall = std::chrono::steady_clock::now();
-    if (m) {
-      if (m->stop) {
-        stopping = true;
-      } else if (m->peer == kSupervisorPeer) {
-        if (m->frame.type == FrameType::kPeers) {
-          if (auto p = decode_peers(m->frame.payload.data(),
-                                    m->frame.payload.size())) {
-            for (const auto& [pid, port] : p->ports) {
-              // One dialer per pair: dial only peers below our id.
-              if (pid >= 0 && pid < opts.id && port != 0) {
-                reactor.set_endpoint(pid, port);
-              }
-            }
-          }
-        }
-      } else if (m->peer >= kClientPeerBase) {
-        if (m->frame.type == FrameType::kSvcRequest) {
-          on_request(m->peer, m->frame, wall);
-        }
-      } else {
-        switch (m->frame.type) {
-          case FrameType::kSvcPropose:
-            on_propose(m->peer, m->frame);
-            break;
-          case FrameType::kSvcAck:
-            on_ack(m->peer, m->frame, wall);
-            break;
-          case FrameType::kSvcCommit:
-            on_commit(m->peer, m->frame);
-            break;
-          case FrameType::kSvcHb:
-            on_hb(m->peer, m->frame, wall);
-            break;
-          case FrameType::kSvcSyncReq:
-            on_sync_req(m->peer, m->frame);
-            break;
-          case FrameType::kSvcSyncResp:
-            on_sync_resp(m->peer, m->frame);
-            break;
-          default:
-            break;
-        }
+  auto on_mail = [&](const SvcMail& m,
+                     std::chrono::steady_clock::time_point wall) {
+    if (m.peer >= kClientPeerBase) {
+      if (m.frame.type == FrameType::kSvcRequest) {
+        on_request(m.peer, m.frame, wall);
       }
-    } else {
-      clock.tick();  // idle: logical time advances anyway
+      return;
     }
+    switch (m.frame.type) {
+      case FrameType::kSvcPropose:
+        on_propose(m.peer, m.frame);
+        break;
+      case FrameType::kSvcAck:
+        on_ack(m.peer, m.frame, wall);
+        break;
+      case FrameType::kSvcCommit:
+        on_commit(m.peer, m.frame);
+        break;
+      case FrameType::kSvcHb:
+        on_hb(m.peer, m.frame, wall);
+        break;
+      case FrameType::kSvcSyncReq:
+        on_sync_req(m.peer, m.frame);
+        break;
+      case FrameType::kSvcSyncResp:
+        on_sync_resp(m.peer, m.frame);
+        break;
+      default:
+        break;
+    }
+  };
 
-    const Time now = clock.now();
+  auto step = [&](Time now, std::chrono::steady_clock::time_point wall) {
     if (now >= next_hb) {
       SvcHb h;
       h.term = term;
@@ -1110,21 +939,6 @@ int run_svc_node(const SvcNodeOptions& opts) {
       next_resend = wall + opts.resend_interval;
     }
 
-    // Bidirectional partition windows become refuse windows, as in run_node.
-    for (ProcessId q = 0; q < opts.n; ++q) {
-      if (q == opts.id) continue;
-      const bool cut = bidirectional_cut(script, opts.id, q, now);
-      if (cut != refusing[static_cast<std::size_t>(q)]) {
-        refusing[static_cast<std::size_t>(q)] = cut;
-        reactor.set_refuse(q, cut);
-      }
-    }
-
-    if (wall >= next_status) {
-      if (sup_up.load(std::memory_order_relaxed)) send_status(false);
-      next_status = wall + kStatusEvery;
-    }
-
     if (wall >= next_prune) {
       // Both maps would otherwise grow for the whole run.  A gate at or
       // below the applied floor can never gate a ship again (a batch only
@@ -1142,24 +956,9 @@ int run_svc_node(const SvcNodeOptions& opts) {
       }
       next_prune = wall + std::chrono::milliseconds(100);
     }
+  };
 
-    if (sup_up.load(std::memory_order_relaxed) ||
-        !sup_ever_up.load(std::memory_order_relaxed)) {
-      sup_down_since = wall;
-    } else if (wall - sup_down_since > opts.orphan_after) {
-      stopping = true;
-      exit_code = 3;
-    }
-  }
-
-  if (committer) committer->stop();
-  store.flush();
-  if (exit_code == 0 && sup_up.load(std::memory_order_relaxed)) {
-    send_status(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  reactor.stop();
-  return exit_code;
+  return shell.run(on_mail, step, send_status);
 }
 
 }  // namespace udc

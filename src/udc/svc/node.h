@@ -33,6 +33,7 @@
 #include "udc/common/types.h"
 #include "udc/coord/metrics.h"
 #include "udc/fd/heartbeat.h"
+#include "udc/net/wire.h"
 #include "udc/rt/remote/node.h"
 #include "udc/store/process_store.h"
 
@@ -63,6 +64,14 @@ std::vector<std::uint64_t> pack_svc_counters(const RuntimeCounters& c);
 // a status frame) into the matching fields of `c`.
 void unpack_svc_counters(const std::vector<std::uint64_t>& v,
                          std::size_t offset, RuntimeCounters* c);
+
+// A replica's worker input: one wire frame and its sender (a peer replica
+// or a client).  kStop and kPeers never become mail; the node shell
+// (rt/remote/node_shell.h) handles them.
+struct SvcMail {
+  ProcessId peer = kInvalidProcess;
+  WireFrame frame;
+};
 
 struct SvcNodeOptions {
   ProcessId id = kInvalidProcess;

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "udc/svc/node.h"
+
 namespace udc {
 namespace {
 
@@ -26,7 +28,7 @@ RtMail deliver_mail(std::int64_t tag) {
 }
 
 TEST(Mailbox, PushReportsAcceptanceAndCloseRefuses) {
-  Mailbox mb;
+  Mailbox<RtMail> mb;
   EXPECT_EQ(mb.push(deliver_mail(1)), MailboxPush::kAccepted);
   auto got = mb.pop_for(std::chrono::microseconds(1));
   ASSERT_TRUE(got.has_value());
@@ -41,7 +43,7 @@ TEST(Mailbox, PushReportsAcceptanceAndCloseRefuses) {
 }
 
 TEST(Mailbox, CloseDiscardsQueuedMailAndWakesTheConsumer) {
-  Mailbox mb;
+  Mailbox<RtMail> mb;
   EXPECT_EQ(mb.push(deliver_mail(1)), MailboxPush::kAccepted);
   EXPECT_EQ(mb.push(deliver_mail(2)), MailboxPush::kAccepted);
   mb.close();
@@ -53,7 +55,7 @@ TEST(Mailbox, CloseDiscardsQueuedMailAndWakesTheConsumer) {
 TEST(Mailbox, ConcurrentPushersVsCloseAccountForEveryMail) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 2'000;
-  Mailbox mb;
+  Mailbox<RtMail> mb;
   std::atomic<std::size_t> pushed_ok{0};
   std::atomic<std::size_t> refused{0};
   std::atomic<std::size_t> consumed{0};
@@ -96,6 +98,37 @@ TEST(Mailbox, ConcurrentPushersVsCloseAccountForEveryMail) {
   EXPECT_LE(consumed.load(), pushed_ok.load());
   // And the mailbox stays closed: a straggler is refused, not dropped.
   EXPECT_EQ(mb.push(deliver_mail(-1)), MailboxPush::kClosed);
+}
+
+// The service replica's mail (raw wire frames) rides the same mailbox: a
+// stopped replica refuses late frames and drops what it had queued.
+SvcMail frame_mail(ProcessId peer) {
+  SvcMail m;
+  m.peer = peer;
+  m.frame.type = FrameType::kSvcRequest;
+  m.frame.payload = {1, 2, 3};
+  return m;
+}
+
+TEST(Mailbox, SvcMailPushAfterCloseIsRefused) {
+  Mailbox<SvcMail> mb;
+  EXPECT_EQ(mb.push(frame_mail(kClientPeerBase)), MailboxPush::kAccepted);
+  auto got = mb.pop_for(std::chrono::seconds(5));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->peer, kClientPeerBase);
+  EXPECT_EQ(got->frame.payload, (std::vector<std::uint8_t>{1, 2, 3}));
+  mb.close();
+  EXPECT_EQ(mb.push(frame_mail(1)), MailboxPush::kClosed);
+  EXPECT_FALSE(mb.pop_for(std::chrono::microseconds(1)).has_value());
+}
+
+TEST(Mailbox, SvcMailCloseClearsTheQueue) {
+  Mailbox<SvcMail> mb;
+  EXPECT_EQ(mb.push(frame_mail(1)), MailboxPush::kAccepted);
+  EXPECT_EQ(mb.push(frame_mail(2)), MailboxPush::kAccepted);
+  mb.close();
+  EXPECT_TRUE(mb.closed());
+  EXPECT_FALSE(mb.pop_for(std::chrono::seconds(5)).has_value());
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 // unless --keep) and its own seed; protocols alternate strongfd/majority and
 // the durability mode cycles every-N / every-append / never / group-commit
 // (single-file batch) / group-commit (aggressive batch) / segmented+staged
-// (io_uring-or-auto barrier) / segmented+staged (flusher pool), so the
+// (default barrier) / segmented+staged (two-thread flusher pool), so the
 // truncate-to-synced fault exercises every loss window the store supports —
 // including "since the last group commit", per shard and per segment
 // (DESIGN.md §10-§11).
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       rt.store.group_commit = false;
       rt.store.segment_bytes = 0;
       rt.store.ring_frames = 0;
-      rt.store.barrier = CommitBarrier::kAuto;
+      rt.store.barrier = CommitBarrier::kPool;
       rt.store.commit_every = 32;
       rt.store.commit_interval = std::chrono::microseconds(500);
       switch (durability) {
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
           rt.store.commit_interval = std::chrono::microseconds(300);
           break;
         case 6:
-          // Segmented + staged through the portable flusher pool, with a
+          // Segmented + staged through a two-thread flusher pool, with a
           // batch small enough that rounds race the kill constantly.
           rt.store.group_commit = true;
           rt.store.segment_bytes = 1024;
