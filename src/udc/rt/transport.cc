@@ -28,7 +28,9 @@ RtTransport::RtTransport(int n, RtTransportOptions opts,
     : n_(n),
       opts_(opts),
       clock_(std::move(clock)),
-      deliver_(std::move(deliver)) {
+      deliver_(std::move(deliver)),
+      dead_(std::make_unique<std::atomic<bool>[]>(
+          static_cast<std::size_t>(std::max(n, 0)))) {
   UDC_CHECK(n_ >= 1 && n_ <= kMaxProcesses, "RtTransport: bad process count");
   UDC_CHECK(policy != nullptr, "RtTransport: null drop policy");
   UDC_CHECK(opts_.min_delay.count() >= 0 &&
@@ -85,10 +87,12 @@ std::chrono::microseconds RtTransport::draw_delay(Rng& rng) {
          std::chrono::microseconds(span == 0 ? 0 : rng.next_below(span + 1));
 }
 
-void RtTransport::push_op(Shard& sh, Op op) {
-  op.id = sh.next_op_id++;
+std::uint64_t RtTransport::push_op(Shard& sh, Op op) {
+  const std::uint64_t id = sh.next_op_id++;
+  op.id = id;
   sh.ops.push(std::move(op));
   sh.cv.notify_one();
+  return id;
 }
 
 void RtTransport::ensure_scan(Shard& sh,
@@ -97,7 +101,7 @@ void RtTransport::ensure_scan(Shard& sh,
   Op scan;
   scan.at = at;
   scan.kind = OpKind::kRetryScan;
-  push_op(sh, std::move(scan));
+  sh.scan_op_id = push_op(sh, std::move(scan));
   sh.scan_scheduled = true;
   sh.scan_at = at;
 }
@@ -116,13 +120,17 @@ void RtTransport::send(ProcessId from, ProcessId to, const Message& msg,
   Shard& sh = shard_of(from, to);
   std::lock_guard<std::mutex> lock(sh.mu);
   if (sh.stopping) return;
+  counters_.add(counters_.sends);
+  if (dead_[static_cast<std::size_t>(to)].load(std::memory_order_acquire)) {
+    counters_.add(counters_.abandoned);
+    return;
+  }
   const std::uint64_t seq =
       next_seq_.fetch_add(1, std::memory_order_relaxed);
   PendingSend p{from, to, msg, send_tick};
   p.wire_seq = ++channel_next_wire_[channel_index(from, to)];
   sh.pending.emplace(seq, std::move(p));
   pending_total_.fetch_add(1, std::memory_order_acq_rel);
-  counters_.add(counters_.sends);
   // First attempt runs inline on the sender's thread — the common clean-
   // channel case schedules exactly one op (the delivery) and touches only
   // this pair's shard.
@@ -152,6 +160,10 @@ void RtTransport::send_heartbeat(ProcessId from, ProcessId to,
 }
 
 void RtTransport::abandon_to(ProcessId p) {
+  UDC_CHECK(p >= 0 && p < n_, "RtTransport: abandon_to bad process");
+  // Raised before any shard is swept: a send that takes its shard lock
+  // after the sweep sees the flag, one that took it before is swept.
+  dead_[static_cast<std::size_t>(p)].store(true, std::memory_order_release);
   for (auto& shp : shards_) {
     Shard& sh = *shp;
     std::size_t retired = 0;
@@ -234,7 +246,7 @@ void RtTransport::dispatch_loop(Shard& sh) {
         handle_deliver(sh, lock, std::move(op));
         break;
       case OpKind::kRetryScan:
-        handle_retry_scan(sh);
+        if (op.id == sh.scan_op_id) handle_retry_scan(sh);
         break;
       case OpKind::kAckFlush:
         handle_ack_flush(sh, op.chan);

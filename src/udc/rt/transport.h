@@ -56,6 +56,7 @@
 // heartbeat failure detector is supposed to suspect on.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -125,8 +126,10 @@ class RtTransport {
   // Fire-and-forget, below the model: one attempt, no ack, no retry.
   void send_heartbeat(ProcessId from, ProcessId to, const Message& msg);
 
-  // Drops every pending send addressed to `p` (permanent crash: the channel
-  // into a dead process delivers nothing, and R5 does not apply to it).
+  // Drops every pending send addressed to `p`, and every later one on
+  // arrival (permanent crash: the channel into a dead process delivers
+  // nothing, and R5 does not apply to it).  Without the second half, peers
+  // that keep addressing the dead process pile up sends that retry forever.
   void abandon_to(ProcessId p);
 
   // Waits until no protocol sends are pending, or `deadline` passes.
@@ -189,6 +192,10 @@ class RtTransport {
     std::priority_queue<Op, std::vector<Op>, std::greater<Op>> ops;
     bool scan_scheduled = false;
     std::chrono::steady_clock::time_point scan_at;
+    // Id of the one live scan op.  Re-arming earlier supersedes the queued
+    // scan; the superseded op still fires and must be a no-op, or every
+    // re-arm would start another self-perpetuating scan chain.
+    std::uint64_t scan_op_id = 0;
     std::size_t dedup_peak = 0;
     std::thread dispatcher;
   };
@@ -196,7 +203,7 @@ class RtTransport {
   std::size_t channel_index(ProcessId from, ProcessId to) const;
   Shard& shard_of(ProcessId a, ProcessId b);
   std::chrono::microseconds draw_delay(Rng& rng);
-  void push_op(Shard& sh, Op op);                       // sh.mu held
+  std::uint64_t push_op(Shard& sh, Op op);              // sh.mu held
   void ensure_scan(Shard& sh,
                    std::chrono::steady_clock::time_point at);  // sh.mu held
   void retire_locked(Shard& sh, std::uint64_t seq);     // sh.mu held
@@ -226,6 +233,8 @@ class RtTransport {
   std::vector<char> ack_flush_scheduled_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Per destination: set by abandon_to, read by send under the shard lock.
+  std::unique_ptr<std::atomic<bool>[]> dead_;
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::size_t> pending_total_{0};
   std::atomic<bool> stopped_{false};

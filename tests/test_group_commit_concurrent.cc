@@ -11,7 +11,7 @@
 // — i.e. what any kill loses is "since the last successful group commit",
 // never a hole, never a reordering, never anything a barrier already
 // covered.  The sweep runs the same scenario through every SyncBarrier
-// engine (pool / serial),
+// engine (pool / serial, plus whichever one an unconfigured store picks),
 // so the batched-fdatasync plumbing is raced under every implementation.
 #include <gtest/gtest.h>
 
@@ -199,7 +199,8 @@ TEST_P(GroupCommitConcurrent, FullRingSelfDrainThenFlushIsCrashProof) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, GroupCommitConcurrent,
-    ::testing::Values(SweepCase{CommitBarrier::kPool, "pool"},
+    ::testing::Values(SweepCase{StoreOptions{}.barrier, "auto"},  // default
+                      SweepCase{CommitBarrier::kPool, "pool"},
                       SweepCase{CommitBarrier::kSerial, "serial"}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       return info.param.name;

@@ -28,7 +28,13 @@ namespace {
 // Sweep 1: UDC protocols across (n, drop).
 // ---------------------------------------------------------------------------
 struct UdcSweepParam {
+  UdcSweepParam(int n_, double drop_, const char* detector_)
+      : n(n_), drop(drop_), detector(detector_) {}
   int n;
+  // gtest prints a parameter without a printer as its raw bytes, and that
+  // dump is part of the listed test name; naming the padding after `n`
+  // keeps it zero instead of stack garbage, so the name is stable.
+  int padding = 0;
   double drop;
   const char* detector;  // "perfect" | "strong" | "t-useful"
 };

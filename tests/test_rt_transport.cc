@@ -147,6 +147,27 @@ TEST(RtTransport, AbandonToDropsPendingTrafficTowardADeadProcess) {
   EXPECT_EQ(c.delivered, 0u);
 }
 
+TEST(RtTransport, AbandonToAlsoDropsLaterSendsToTheDeadProcess) {
+  Sink sink;
+  sink.down.insert(1);
+  RtTransport tr(3, fast_opts(), std::make_shared<IidDropPolicy>(0.0),
+                 /*seed=*/5, [] { return Time{0}; }, sink.fn());
+  tr.abandon_to(1);
+  // Peers that keep addressing the dead process must not pile up sends
+  // that retry forever: each is given up on arrival.
+  for (int i = 0; i < 5; ++i) tr.send(0, 1, app_msg(i));
+  tr.send(2, 1, app_msg(5));
+  EXPECT_TRUE(tr.quiesce(steady_clock::now()));
+  // Traffic between live processes is untouched.
+  tr.send(0, 2, app_msg(6));
+  ASSERT_TRUE(tr.quiesce(steady_clock::now() + milliseconds(10'000)));
+  RuntimeCounters c = tr.counters();
+  EXPECT_EQ(c.sends, 7u);
+  EXPECT_EQ(c.abandoned, 6u);
+  EXPECT_EQ(c.delivered, 1u);
+  EXPECT_EQ(sink.count(), 1u);
+}
+
 TEST(RtTransport, MaxAttemptsGivesUpDeterministically) {
   Sink sink;
   RtTransportOptions o = fast_opts();
