@@ -8,7 +8,9 @@
 // down process: pushes are refused (the transport treats that as a channel
 // loss and keeps retrying under its backoff schedule), and queued mail is
 // discarded — a crashed process loses exactly its undelivered input,
-// nothing else.
+// nothing else.  A wake (wake()) ends the consumer's wait with no mail:
+// the node loop uses it to learn at once that its store's durable floor
+// moved (rt/remote/node_shell.h).
 #pragma once
 
 #include <chrono>
@@ -57,16 +59,31 @@ class Mailbox {
     return MailboxPush::kAccepted;
   }
 
-  // Pops the next mail, waiting up to `timeout`.  nullopt on timeout or
-  // close — the worker loop uses the timeout slot for pacing (heartbeats,
-  // detector polls, protocol on_tick).
+  // Pops the next mail, waiting up to `timeout`.  nullopt on timeout,
+  // close or wake — the worker loop uses the timeout slot for pacing
+  // (heartbeats, detector polls, protocol on_tick).  Every return consumes
+  // a pending wake: the caller is awake now either way.
   std::optional<Mail> pop_for(std::chrono::microseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout, [this] { return closed_ || !queue_.empty(); });
+    cv_.wait_for(lock, timeout,
+                 [this] { return closed_ || woken_ || !queue_.empty(); });
+    woken_ = false;
     if (queue_.empty()) return std::nullopt;
     Mail mail = std::move(queue_.front());
     queue_.pop_front();
     return mail;
+  }
+
+  // Ends the consumer's current pop_for, or its next one, early and with
+  // no mail.  Wakes do not queue: any number of them before a pop end just
+  // that one pop.  Takes only the mailbox's own (leaf) mutex, so a store's
+  // on_durable hook may call it from the group committer's flusher.
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      woken_ = true;
+    }
+    cv_.notify_one();
   }
 
   // Refuses future pushes, discards queued mail, and wakes the consumer.
@@ -89,6 +106,7 @@ class Mailbox {
   std::condition_variable cv_;
   std::deque<Mail> queue_;
   bool closed_ = false;
+  bool woken_ = false;
 };
 
 }  // namespace udc

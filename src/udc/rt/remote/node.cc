@@ -118,10 +118,10 @@ class NodeEnv final : public Env {
 
   void send(ProcessId to, const Message& msg) override {
     if (!live_) return;
-    const Time tick = rec_.record(Event::send(to, msg));
     // Gate: this frame may not reach a socket until the store's durable
-    // floor covers the kSend just appended.
-    transport_.send(to, msg, tick, rec_.mirror_len());
+    // floor covers the kSend just appended (whose commit is requested now).
+    const EventRecorder::Gated g = rec_.record_gated(Event::send(to, msg));
+    transport_.send(to, msg, g.tick, g.gate);
   }
 
   void perform(ActionId alpha) override {

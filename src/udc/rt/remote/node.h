@@ -45,9 +45,11 @@ namespace udc {
 
 // Store layout shared by nodes (writing) and the fleet merge (recovering):
 // both sides MUST construct ProcessStore with the same options or recovery
-// reads the wrong layout.  Tighter commit pacing than the in-process
-// default because the durable-send gate puts the group-commit interval on
-// the protocol's critical path.
+// reads the wrong layout.  The commit interval is NOT on the protocol's
+// critical path: every record the durable-send gate waits on requests its
+// own commit round (EventRecorder::record_gated).  It only bounds how long
+// ungated records (kDo, kRecv, kSuspect) stay undurable, which is how
+// soon the supervisor's board, fed from the durable prefix, sees them.
 inline StoreOptions mp_store_options() {
   StoreOptions s = rt_default_store_options();
   s.commit_every = 64;

@@ -16,6 +16,11 @@
 //     a status report every 2 ms, and the orphan watchdog — a supervisor
 //     stream down past orphan_after ends the node with exit code 3, so a
 //     SIGKILLed supervisor cannot leave the fleet running forever.
+//   * Demand-driven durability: a gated record (record_gated) requests a
+//     commit round at once, and the store's on_durable hook wakes the
+//     mailbox, so the step that opens the durable-send gate runs as soon
+//     as the floor moves.  A wake is not idle time and ticks nothing
+//     (IdlePacer).
 //   * The orderly exit: make everything durable, report the final durable
 //     state with done=true, give the frame 30 ms to drain, tear down.
 #pragma once
@@ -80,13 +85,27 @@ class EventRecorder {
                 std::vector<Event>& mirror)
       : clock_(clock), store_(store), mirror_(mirror) {}
 
-  // Returns the tick the event was recorded at; after the call,
-  // mirror_len() is the durable-send gate for this event.
+  // Returns the tick the event was recorded at.  For records nothing waits
+  // on (kDo, kRecv, ...): the store's commit_interval bounds how long they
+  // stay undurable.
   Time record(const Event& e) {
     const Time t = clock_.tick();
     store_.append(t, e);
     mirror_.push_back(e);
     return t;
+  }
+
+  // A record the durable-send gate waits on (a kSend, or the kInit of a
+  // batch about to be proposed): records it, requests a commit round now,
+  // and returns its tick and its gate, the durable floor that covers it.
+  struct Gated {
+    Time tick = 0;
+    std::size_t gate = 0;
+  };
+  Gated record_gated(const Event& e) {
+    const Time t = record(e);
+    store_.request_commit();
+    return {t, mirror_.size()};
   }
 
   std::size_t mirror_len() const { return mirror_.size(); }
@@ -95,6 +114,40 @@ class EventRecorder {
   LamportClock& clock_;
   ProcessStore& store_;
   std::vector<Event>& mirror_;
+};
+
+// Idle pacing of the node loop.  Logical time advances by one idle tick per
+// `period` of wall time that passes with no mail; heartbeat pacing,
+// detector timeouts and script windows are all counted in those ticks.  A
+// mailbox wake (the durable floor moved) cuts a wait short but is not idle
+// time: it neither ticks nor restarts the period, and the next wait takes
+// only what is left of it.  A wake that ticked would shrink every detector
+// timeout in wall time and raise false suspicions under load.
+class IdlePacer {
+ public:
+  using WallClock = std::chrono::steady_clock;
+
+  explicit IdlePacer(std::chrono::microseconds period) : period_(period) {}
+
+  // How long the pop starting at `now` may wait: a full period, or the
+  // rest of the one a wake cut short.
+  std::chrono::microseconds wait_from(WallClock::time_point now) {
+    if (!resuming_) deadline_ = now + period_;
+    if (deadline_ <= now) return std::chrono::microseconds{0};
+    return std::chrono::ceil<std::chrono::microseconds>(deadline_ - now);
+  }
+
+  // Classifies the pop that returned at `wall`: true iff the iteration is
+  // idle (the period ran out with no mail) and so ticks the clock.
+  bool idle(bool got_mail, WallClock::time_point wall) {
+    resuming_ = !got_mail && wall < deadline_;  // a wake
+    return !got_mail && !resuming_;
+  }
+
+ private:
+  std::chrono::microseconds period_;
+  WallClock::time_point deadline_{};
+  bool resuming_ = false;
 };
 
 // What the epoch > 0 recovery pass found in the WAL shard.
@@ -113,8 +166,9 @@ class NodeShell {
   // A peer's stream came up.  Reactor thread.
   using PeerUpFn = std::function<void(ProcessId peer)>;
 
-  // Opens (and at epoch > 0 recovers) the WAL shard, attaches the group
-  // committer, and binds the data port.  The reactor starts in start().
+  // Opens (and at epoch > 0 recovers) the WAL shard, hooks durable-floor
+  // advances to a mailbox wake, attaches the group committer, and binds
+  // the data port.  The reactor starts in start().
   NodeShell(const NodeShellOptions& o, FrameFn on_frame,
             PeerUpFn on_peer_up = {})
       : o_(o),
@@ -132,6 +186,8 @@ class NodeShell {
             [this](ProcessId peer, std::uint64_t /*epoch*/, bool up,
                    std::uint16_t /*data_port*/) { on_link(peer, up); }),
         refusing_(static_cast<std::size_t>(o.n), false) {
+    // Before attach: attach's mutex publishes the hook to the flusher.
+    store_.set_on_durable([this] { mailbox_.wake(); });
     if (o.store.group_commit) {
       committer_.emplace(
           GroupCommitOptions{o.store.barrier, o.store.flusher_threads});
@@ -176,26 +232,23 @@ class NodeShell {
   }
 
   // The main loop, then the orderly exit.  Per iteration: `on_mail(mail,
-  // wall)` for the popped mail (or an idle clock tick), `step(now, wall)`,
-  // refuse windows, `send_status(false)` every 2 ms, the watchdog.
-  // Returns 0 after kStop, 3 if orphaned.
+  // wall)` for the popped mail (an idle iteration ticks the clock instead,
+  // a wake does neither), `step(now, wall)`, refuse windows,
+  // `send_status(false)` every 2 ms, the watchdog.  Returns 0 after kStop,
+  // 3 if orphaned.
   template <class OnMail, class Step, class SendStatus>
   int run(OnMail on_mail, Step step, SendStatus send_status) {
-    constexpr auto kMailWait = std::chrono::microseconds(300);
     constexpr auto kStatusEvery = std::chrono::milliseconds(2);
+    IdlePacer pacer(std::chrono::microseconds(300));
     auto next_status = std::chrono::steady_clock::now();
     auto sup_down_since = next_status;
     int exit_code = 0;
     while (!mailbox_.closed()) {
-      std::optional<Mail> mail = mailbox_.pop_for(kMailWait);
+      std::optional<Mail> mail =
+          mailbox_.pop_for(pacer.wait_from(std::chrono::steady_clock::now()));
       const auto wall = std::chrono::steady_clock::now();
-      if (mail) {
-        on_mail(*mail, wall);
-      } else {
-        // Idle: logical time advances anyway — heartbeat pacing, detector
-        // timeouts and script windows are all measured in these ticks.
-        clock_.tick();
-      }
+      if (mail) on_mail(*mail, wall);
+      if (pacer.idle(mail.has_value(), wall)) clock_.tick();
       const Time now = clock_.now();
       step(now, wall);
       for (ProcessId q = 0; q < o_.n; ++q) {
@@ -289,10 +342,10 @@ class NodeShell {
   ProcessStore store_;
   std::vector<Event> mirror_;
   RecoveredShard recovered_;
+  Mailbox<Mail> mailbox_;  // before committer_: its flusher wakes it
   std::optional<GroupCommitter> committer_;
   LamportClock clock_;
   EventRecorder rec_;
-  Mailbox<Mail> mailbox_;
   std::atomic<bool> sup_up_{false};
   std::atomic<bool> sup_ever_up_{false};
   FrameFn on_frame_;

@@ -11,9 +11,11 @@
 // only after the store's durable_floor() covers its kSend record.  WAL loss
 // is always a suffix; therefore anything on the wire is durable, and
 // recv-without-send is impossible BY CONSTRUCTION, for any kill point.  (The
-// cost is send latency bounded by the group-commit interval; heartbeats and
-// rejoin beacons sit below the model, are never recorded, and skip the
-// gate.)
+// cost is one commit round per send, on demand: the kSend's record
+// requests the round, and the node loop is woken to pump() the moment the
+// durable floor advances — no commit interval and no idle poll on the
+// path.  Heartbeats and rejoin beacons sit below the model, are never
+// recorded, and skip the gate.)
 //
 // Everything else mirrors rt/transport.h, re-cut for streams:
 //   * per-ordered-channel wire seqs with jittered-backoff retransmission

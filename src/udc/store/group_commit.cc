@@ -24,7 +24,12 @@ void GroupCommitter::attach(ProcessStore* store) {
 }
 
 void GroupCommitter::kick() {
-  kicked_.store(true, std::memory_order_release);
+  {
+    // Set under the flusher's mutex: a kick landing between its predicate
+    // check and its sleep would otherwise wait out a whole interval.
+    std::lock_guard<std::mutex> lock(mu_);
+    kicked_ = true;
+  }
   cv_.notify_one();
 }
 
@@ -55,7 +60,12 @@ void GroupCommitter::round() {
 void GroupCommitter::flush_all() { round(); }
 
 void GroupCommitter::stop() {
-  if (stopping_.exchange(true)) {
+  bool already_stopping = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);  // same lost-wakeup rule as kick()
+    already_stopping = stopping_.exchange(true);
+  }
+  if (already_stopping) {
     if (flusher_.joinable()) flusher_.join();
     return;
   }
@@ -82,13 +92,12 @@ void GroupCommitter::loop() {
       cached_gen_ = attach_gen_;
     }
     cv_.wait_for(lock, cached_interval_, [this] {
-      return stopping_.load(std::memory_order_acquire) ||
-             kicked_.load(std::memory_order_acquire) ||
+      return stopping_.load(std::memory_order_acquire) || kicked_ ||
              cached_gen_ != attach_gen_;
     });
-    kicked_.store(false, std::memory_order_release);
     if (stopping_.load(std::memory_order_acquire)) break;
-    if (cached_gen_ != attach_gen_) continue;  // re-derive before flushing
+    if (cached_gen_ != attach_gen_) continue;  // re-derive; keep any kick
+    kicked_ = false;
     lock.unlock();  // never hold the list lock across a barrier
     round();
     lock.lock();

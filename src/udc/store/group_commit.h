@@ -20,12 +20,15 @@
 //      group-commit counters.
 //
 // A round fires when a store accumulates `commit_every` unsynced frames
-// (the store kicks the committer early), when `commit_interval` elapses
-// with any frame still unsynced (bounded staleness for quiet stores), or
-// immediately on seal / teardown.  The committer honors the TRUE shortest
-// attached interval — a store asking for a LONGER interval is no longer
-// silently capped at 1ms — and caches it, recomputing only when the
-// attachment set changes.
+// (the store kicks the committer early), when a store's caller waits on a
+// record and requests a round (ProcessStore::request_commit, the durable-
+// send gate), when `commit_interval` elapses with any frame still unsynced
+// (bounded staleness for records nobody waits on), or immediately on seal
+// / teardown.  After a round, each store whose floor advanced runs its
+// on_durable hook, so a waiter learns of the new floor at once.  The
+// committer honors the TRUE shortest attached interval — a store asking
+// for a LONGER interval is no longer silently capped at 1ms — and caches
+// it, recomputing only when the attachment set changes.
 //
 // Durability semantics are UNCHANGED in kind: what a crash can lose is
 // still exactly a suffix of the process's history — "since the last group
@@ -76,7 +79,9 @@ class GroupCommitter {
   // stopping the committer first.
   void attach(ProcessStore* store);
 
-  // Wakes the flusher ahead of schedule (a store hit commit_every).
+  // Wakes the flusher ahead of schedule (a store hit commit_every, or a
+  // caller requested a commit).  A kick during a round runs one more round
+  // after it, so no request is lost.
   void kick();
 
   // Runs one synchronous commit round over every attached store.
@@ -95,14 +100,14 @@ class GroupCommitter {
 
   std::unique_ptr<SyncBarrier> barrier_;
 
-  std::mutex mu_;  // guards stores_ and the cached interval
+  std::mutex mu_;  // guards stores_, the cached interval and kicked_
   std::vector<ProcessStore*> stores_;
   std::uint64_t attach_gen_ = 0;   // bumped by attach()
   std::uint64_t cached_gen_ = 0;   // generation the cache was computed at
   std::chrono::microseconds cached_interval_{1'000};
 
   std::condition_variable cv_;
-  std::atomic<bool> kicked_{false};
+  bool kicked_ = false;
   std::atomic<bool> stopping_{false};
   std::thread flusher_;
 };

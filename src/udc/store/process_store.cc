@@ -93,6 +93,14 @@ void ProcessStore::append(Time t, const Event& e) {
   if (kick && committer_ != nullptr) committer_->kick();
 }
 
+void ProcessStore::request_commit() {
+  if (committer_ != nullptr) {
+    committer_->kick();
+  } else {
+    flush();
+  }
+}
+
 StoreCommitTicket ProcessStore::start_commit() {
   StoreCommitTicket t;
   t.store = this;
@@ -120,6 +128,8 @@ void ProcessStore::finish_commit(StoreCommitTicket& t) {
   // counters() derives sync_failures from the writer directly.
   t.writer->finish_commit(t.wal);
   group_commits_.fetch_add(1, std::memory_order_relaxed);
+  // A failing barrier left the watermark where it was: nothing to report.
+  if (!t.wal.sync_failing && on_durable_) on_durable_();
 }
 
 void ProcessStore::flush() {

@@ -19,9 +19,10 @@
 // FsyncPolicy decides when append() itself issues the barrier — the PR 4
 // behavior, write-through, single-file.  With `group_commit` on, append()
 // NEVER fsyncs; a GroupCommitter commits the batch every `commit_every`
-// frames or `commit_interval`, and flush() is also forced when the process
-// is sealed.  On top of that, `segment_bytes` > 0 shards the WAL into
-// preallocated fixed-size segments rotated off the append path, and
+// frames or `commit_interval`, or at once when a caller that waits on a
+// record asks for it (request_commit), and flush() is also forced when the
+// process is sealed.  On top of that, `segment_bytes` > 0 shards the WAL
+// into preallocated fixed-size segments rotated off the append path, and
 // `ring_frames` > 0 stages appends in a fixed-slot ring the committer
 // drains with one gathered write per batch (store/wal.h).  Staged frames
 // live in user memory until the next commit, so in staged mode the loss
@@ -45,6 +46,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,6 +120,24 @@ class ProcessStore {
   // is kicked once commit_every frames are pending.
   void append(Time t, const Event& e);
 
+  // Asks for a commit round now instead of at the next commit_interval:
+  // the caller just appended a record something waits on (the durable-send
+  // gate).  Kicks the attached committer; a store without one commits
+  // inline.  Call it outside any lock the on_durable hook takes.
+  void request_commit();
+
+  // Runs after every commit round that advanced the durable floor, on the
+  // thread that ran the round (the committer's flusher, or flush()'s
+  // caller).  It runs inside finish_commit, whose round may still hold
+  // other stores' drain locks, so finish_commit's rule binds it too: it
+  // must take no store mutex and never block.  A leaf lock held for O(1)
+  // work (a mailbox wake) cannot close a cycle and is allowed.  Set it
+  // before GroupCommitter::attach, whose mutex orders the write before the
+  // flusher's first read.
+  void set_on_durable(std::function<void()> fn) {
+    on_durable_ = std::move(fn);
+  }
+
   // Commits the unsynced WAL tail, if any: drain + serial barrier.  Called
   // on seal (flush_on_seal), at teardown, and by tests; the committer's
   // batched rounds use start_commit/finish_commit instead.
@@ -168,6 +188,7 @@ class ProcessStore {
   StoreOptions opts_;
   std::vector<StorageFault> faults_;
   GroupCommitter* committer_ = nullptr;
+  std::function<void()> on_durable_;  // see set_on_durable
 
   mutable std::mutex mu_;
   std::shared_ptr<WalWriter> writer_;

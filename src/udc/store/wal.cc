@@ -340,9 +340,6 @@ WalWriter::WalWriter(std::string path, WalOptions opts)
   open_.store(true, std::memory_order_relaxed);
 }
 
-WalWriter::WalWriter(std::string path, FsyncPolicy policy, int sync_every)
-    : WalWriter(std::move(path), WalOptions{policy, sync_every, 0, 0, false}) {}
-
 WalWriter::~WalWriter() { close(); }
 
 void WalWriter::open_fresh_tail_locked() { open_next_segment_locked(); }

@@ -156,8 +156,6 @@ class WalWriter {
   // InvariantViolation if the log cannot be opened — an unusable log
   // directory is a configuration error, not a scripted fault.
   WalWriter(std::string path, WalOptions opts);
-  // Legacy single-file write-through signature (the PR 4/5 constructor).
-  WalWriter(std::string path, FsyncPolicy policy, int sync_every);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -175,7 +173,6 @@ class WalWriter {
   // true iff there was pending (staged or unsynced) work.  A no-op barrier
   // (counted in sync_failures) while a scripted kSyncFail window is active.
   bool commit();
-  void sync() { commit(); }  // legacy name
 
   // Two-phase commit for the batched group-commit round; see
   // WalCommitTicket.  finish_commit must be called exactly once per ticket

@@ -193,8 +193,7 @@ int run_svc_node(const SvcNodeOptions& opts) {
     std::size_t gate = 0;
     if (action_owner(a) == opts.id && my_inits.count(a) == 0) {
       my_inits.insert(a);
-      rec.record(Event::init(a));
-      gate = rec.mirror_len();
+      gate = rec.record_gated(Event::init(a)).gate;
     }
     if (!log.accept(b)) {
       orphans.emplace(a, std::make_pair(b, gate));
@@ -324,9 +323,8 @@ int run_svc_node(const SvcNodeOptions& opts) {
     b.term = term;
     b.action = make_action(opts.id, admission_seq++);
     b.ops = std::move(ops);
-    rec.record(Event::init(b.action));
+    seal_gate[slot] = rec.record_gated(Event::init(b.action)).gate;
     my_inits.insert(b.action);
-    seal_gate[slot] = rec.mirror_len();
     slog.append(b);
     UDC_CHECK(log.accept(b), "svc node: own seal refused");
     log.ack(slot, opts.id);

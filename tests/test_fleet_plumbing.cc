@@ -1,17 +1,20 @@
 // The cross-process plumbing shared by the model fleet and the service
 // fleet: the WAL-shard merge and its R4 crash (rt/remote/supervisor.h), the
-// refuse-window rule of the node shell (rt/remote/node_shell.h), and the
-// supervisor's handling of a node that exits on its own, driven against a
-// stub node binary that exits 1 at once.
+// refuse-window rule, idle pacing and durability wake of the node shell
+// (rt/remote/node_shell.h), and the supervisor's handling of a node that
+// exits on its own, driven against a stub node binary that exits 1 at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "udc/coord/action.h"
+#include "udc/rt/mailbox.h"
 #include "udc/rt/remote/fleet.h"
+#include "udc/rt/remote/node.h"
 #include "udc/rt/remote/node_shell.h"
 #include "udc/rt/remote/supervisor.h"
 #include "udc/svc/fleet.h"
@@ -99,6 +102,98 @@ fs::path fresh_dir(const std::string& name) {
   fs::path d = fs::temp_directory_path() / ("udc_fleet_" + name);
   fs::remove_all(d);
   return d;
+}
+
+// The node loop's idle pacing: only a period that runs out with no mail
+// ticks the clock.  A wake neither ticks nor restarts the period, so wakes
+// leave the idle tick rate, and with it every detector timeout, where it
+// was.
+TEST(NodeShell, AWakeIsNotAnIdleTick) {
+  using std::chrono::microseconds;
+  const auto t0 = IdlePacer::WallClock::time_point{} + std::chrono::hours(1);
+  IdlePacer pacer(microseconds(300));
+  EXPECT_EQ(pacer.wait_from(t0), microseconds(300));
+  EXPECT_FALSE(pacer.idle(false, t0 + microseconds(100)));  // a wake
+  EXPECT_EQ(pacer.wait_from(t0 + microseconds(110)), microseconds(190));
+  EXPECT_TRUE(pacer.idle(false, t0 + microseconds(300)));  // a timeout
+  EXPECT_EQ(pacer.wait_from(t0 + microseconds(310)), microseconds(300));
+  EXPECT_FALSE(pacer.idle(true, t0 + microseconds(320)));  // mail
+  EXPECT_EQ(pacer.wait_from(t0 + microseconds(330)), microseconds(300));
+  EXPECT_FALSE(pacer.idle(true, t0 + microseconds(400)));
+
+  // A wake every 50 µs through 3 ms without mail: still exactly one tick
+  // per 300 µs, as if no wake had come.
+  auto now = t0 + std::chrono::seconds(1);
+  const auto end = now + std::chrono::milliseconds(3);
+  auto next_wake = now + microseconds(50);
+  int ticks = 0;
+  while (now < end) {
+    const auto timeout_at = now + pacer.wait_from(now);
+    if (next_wake < timeout_at) {
+      now = next_wake;
+      next_wake += microseconds(50);
+    } else {
+      now = timeout_at;
+    }
+    if (pacer.idle(false, now)) ++ticks;
+  }
+  EXPECT_EQ(ticks, 10);
+}
+
+// The live wake path, committer thread -> on_durable -> mailbox -> node
+// loop: with a 1 s commit interval, each gated record is durable and seen
+// by a step within a fraction of the interval, and that step is a wake:
+// the clock has not moved since the step before (no mail can arrive here,
+// so an unmoved clock means no idle tick).  A wake that lands together
+// with a timeout is indistinguishable from it and is retried, not
+// counted.  Idle timeouts still tick.
+TEST(NodeShell, DurabilityWakeRunsTheStepWithoutTickingTheClock) {
+  const fs::path dir = fresh_dir("wake");
+  fs::create_directories(dir);
+  NodeShellOptions o;
+  o.id = 0;
+  o.n = 1;
+  o.dir = dir.string();
+  o.store = mp_store_options();
+  o.store.commit_interval = std::chrono::seconds(1);
+  // The reactor never starts: no mail, supervisor or peer reaches the loop.
+  NodeShell<RtMail> shell(o, [](ProcessId, std::uint64_t, const WireFrame&) {});
+  using WallClock = std::chrono::steady_clock;
+  constexpr int kRecords = 5;
+  int recorded = 0;
+  int woken_records = 0;
+  int idle_ticks = 0;
+  std::size_t gate = 0;
+  WallClock::time_point asked;
+  WallClock::duration slowest{};
+  Time last = shell.clock().now();
+  const auto give_up = WallClock::now() + std::chrono::seconds(5);
+  auto step = [&](Time now, WallClock::time_point wall) {
+    EXPECT_LE(now, last + 1);  // at most one idle tick per iteration
+    if (now == last + 1) ++idle_ticks;
+    if (gate != 0 && shell.store().durable_floor() >= gate) {
+      slowest = std::max(slowest, wall - asked);
+      if (now == last) ++woken_records;
+      gate = 0;
+    }
+    if (gate == 0 && woken_records < kRecords && recorded < 10 * kRecords) {
+      asked = WallClock::now();
+      gate = shell.recorder()
+                 .record_gated(Event::init(make_action(0, recorded++)))
+                 .gate;
+    }
+    if ((woken_records == kRecords && idle_ticks > 0) || wall > give_up) {
+      shell.mailbox().close();
+    }
+    last = shell.clock().now();
+  };
+  EXPECT_EQ(shell.run([](const RtMail&, WallClock::time_point) {}, step,
+                      [](bool) {}),
+            0);
+  EXPECT_EQ(woken_records, kRecords);
+  EXPECT_GT(idle_ticks, 0);
+  EXPECT_LT(slowest, std::chrono::milliseconds(500));
+  fs::remove_all(dir);
 }
 
 // A replica that exits on its own never comes back, so the service fleet

@@ -5,11 +5,13 @@
 // is exactly the unflushed SUFFIX — nothing with group commit after a flush,
 // everything appended since the last one otherwise.  Plus the plumbing:
 // commit_every kicks the flusher early, stop() is a final barrier, and idle
-// flushes are free.
+// flushes are free, and a requested commit beats the interval and reports
+// the new floor through on_durable.
 #include "udc/store/group_commit.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <functional>
@@ -98,6 +100,33 @@ TEST(GroupCommit, CommitEveryKicksTheFlusherAheadOfTheInterval) {
   for (Time t = 1; t <= 4; ++t) store.append(t, Event::do_action(1));
   EXPECT_TRUE(wait_for([&] { return store.counters().group_commits >= 1; },
                        std::chrono::milliseconds(5'000)));
+  committer.stop();
+}
+
+// The durable-send gate's path: a 1 s commit interval would hold a gated
+// record for up to a second; request_commit must make it durable, and fire
+// on_durable, in well under that.  A plain append asks for nothing and
+// waits out the interval.
+TEST(GroupCommit, RequestedCommitBeatsTheIntervalAndFiresOnDurable) {
+  ProcessStore store(fresh_dir("request").string(), 0,
+                     gc_opts(/*commit_every=*/1'000'000,
+                             std::chrono::seconds(1)),
+                     {});
+  std::atomic<int> fired{0};
+  store.set_on_durable([&fired] { fired.fetch_add(1); });
+  GroupCommitter committer;
+  committer.attach(&store);
+
+  store.append(1, Event::do_action(1));  // ungated
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(store.durable_floor(), 0u);
+  EXPECT_EQ(fired.load(), 0);
+
+  store.append(2, Event::init(2));  // gated
+  store.request_commit();
+  EXPECT_TRUE(wait_for([&] { return fired.load() >= 1; },
+                       std::chrono::milliseconds(100)));
+  EXPECT_EQ(store.durable_floor(), 2u);
   committer.stop();
 }
 

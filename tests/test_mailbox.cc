@@ -110,6 +110,38 @@ SvcMail frame_mail(ProcessId peer) {
   return m;
 }
 
+// The node loop's durability wake: it ends a long wait at once with no
+// mail, a wake before the pop ends that pop, and wakes do not queue.
+TEST(Mailbox, WakeEndsPopForEarlyWithNoMail) {
+  Mailbox<RtMail> mb;
+  const auto start = std::chrono::steady_clock::now();
+  std::thread waker([&mb] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    mb.wake();
+  });
+  EXPECT_FALSE(mb.pop_for(std::chrono::seconds(10)).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  waker.join();
+
+  mb.wake();
+  mb.wake();
+  const auto again = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mb.pop_for(std::chrono::seconds(10)).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - again, std::chrono::seconds(5));
+  // Both wakes were spent on that one pop: this one waits out its timeout.
+  const auto third = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mb.pop_for(std::chrono::milliseconds(20)).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - third,
+            std::chrono::milliseconds(20));
+
+  // A wake never hides mail.
+  mb.wake();
+  EXPECT_EQ(mb.push(deliver_mail(7)), MailboxPush::kAccepted);
+  auto got = mb.pop_for(std::chrono::seconds(10));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->msg.a, 7);
+}
+
 TEST(Mailbox, SvcMailPushAfterCloseIsRefused) {
   Mailbox<SvcMail> mb;
   EXPECT_EQ(mb.push(frame_mail(kClientPeerBase)), MailboxPush::kAccepted);

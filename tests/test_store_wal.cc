@@ -137,7 +137,7 @@ TEST(StoreWal, AppendedFramesReadBackInOrder) {
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
   {
-    WalWriter w(path, FsyncPolicy::kEveryAppend, 1);
+    WalWriter w(path, {.fsync = FsyncPolicy::kEveryAppend, .sync_every = 1});
     for (const StoreRecord& r : recs) w.append(r);
     EXPECT_EQ(w.frames_appended(), recs.size());
     EXPECT_EQ(w.bytes_synced(), w.bytes_written());
@@ -163,7 +163,7 @@ TEST(StoreWal, ShortReadChunksSeeTheSameLog) {
   fs::path dir = fresh_dir("shortread");
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
-  WalWriter w(path, FsyncPolicy::kEveryAppend, 1);
+  WalWriter w(path, {.fsync = FsyncPolicy::kEveryAppend, .sync_every = 1});
   for (const StoreRecord& r : recs) w.append(r);
   // A 3-byte read chunk splits every frame header; the reader must still
   // assemble the identical log.
@@ -178,7 +178,7 @@ TEST(StoreWal, FsyncPolicyGovernsTheSyncedWatermark) {
   fs::path dir = fresh_dir("fsync");
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
-  WalWriter w(path, FsyncPolicy::kEveryN, /*fsync_every=*/2);
+  WalWriter w(path, {.fsync = FsyncPolicy::kEveryN, .sync_every = 2});
   w.append(recs[0]);
   EXPECT_LT(w.bytes_synced(), w.bytes_written());  // one frame unsynced
   w.append(recs[1]);
@@ -189,9 +189,9 @@ TEST(StoreWal, FsyncPolicyGovernsTheSyncedWatermark) {
   w.append(recs[3]);
   EXPECT_LT(w.bytes_synced(), w.bytes_written());
   EXPECT_GE(w.sync_failures(), 1u);
-  // Once the device recovers an explicit sync catches up.
+  // Once the device recovers an explicit commit catches up.
   w.set_sync_failing(false);
-  w.sync();
+  w.commit();
   EXPECT_EQ(w.bytes_synced(), w.bytes_written());
   fs::remove_all(dir);
 }
@@ -201,7 +201,7 @@ TEST(StoreWal, RepairCutsACorruptTailAndIsIdempotent) {
   std::string path = (dir / "p.wal").string();
   const std::vector<StoreRecord> recs = sample_records();
   {
-    WalWriter w(path, FsyncPolicy::kEveryAppend, 1);
+    WalWriter w(path, {.fsync = FsyncPolicy::kEveryAppend, .sync_every = 1});
     for (const StoreRecord& r : recs) w.append(r);
   }
   // Torn write: a strict prefix of one more frame.
