@@ -17,7 +17,9 @@
 //   2. barrier — ALL descriptors are fdatasync'd at once through a
 //      SyncBarrier engine (a flusher-thread pool, or serial), and only then
 //      does each store advance its synced watermark and bump its
-//      group-commit counters.
+//      group-commit counters.  A round of one descriptor — the usual case
+//      for a node process, which has one store — is synced on the
+//      committer thread; the pool serves rounds of several descriptors.
 //
 // A round fires when a store accumulates `commit_every` unsynced frames
 // (the store kicks the committer early), when a store's caller waits on a

@@ -35,8 +35,10 @@ class SerialBarrier : public SyncBarrier {
 };
 
 // Persistent flusher pool: workers park on a condition variable between
-// rounds.  Each round's state (fd list, claim cursor, done count) lives in
-// a shared_ptr so a worker that wakes late still holds ITS round's state —
+// rounds, and wake only for a round of two or more descriptors (a
+// one-descriptor round syncs on the caller's thread).  Each round's state
+// (fd list, claim cursor, done count) lives in a shared_ptr so a worker
+// that wakes late still holds ITS round's state —
 // no use-after-free against the caller's vector and no cross-round index
 // contamination.
 class PoolBarrier : public SyncBarrier {
@@ -60,6 +62,12 @@ class PoolBarrier : public SyncBarrier {
 
   void sync(const std::vector<int>& fds) override {
     if (fds.empty()) return;
+    if (fds.size() == 1) {
+      // Nothing to overlap: a hand-off to a worker and back would only add
+      // two thread wakeups to the one barrier.
+      datasync_ignore_errors(fds.front());
+      return;
+    }
     auto r = std::make_shared<Round>();
     r->fds = fds;
     {

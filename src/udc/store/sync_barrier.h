@@ -6,7 +6,10 @@
 // round costs n of them end to end.  The engines here overlap the waits:
 //
 //   * kPool — a persistent pool of flusher threads; each takes fds off a
-//     shared index and fdatasyncs them.  The default.
+//     shared index and fdatasyncs them.  The default.  A round with one
+//     descriptor (a process with one store, between segment seals) has
+//     nothing to overlap, so the caller syncs it inline and no worker
+//     wakes.
 //   * kSerial — the PR 5 behavior, one blocking fdatasync per fd.  Also
 //     the degenerate pool (flusher_threads <= 1).
 //

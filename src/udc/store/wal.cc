@@ -54,6 +54,8 @@ int datasync_fd(int fd) {
 #endif
 }
 
+}  // namespace
+
 void preallocate_fd(int fd, std::uint64_t bytes) {
   // Keeping the inode size constant is the whole point: appends into the
   // preallocated region never dirty size metadata, so fdatasync stays a
@@ -64,8 +66,6 @@ void preallocate_fd(int fd, std::uint64_t bytes) {
 #endif
   (void)::ftruncate(fd, static_cast<off_t>(bytes));
 }
-
-}  // namespace
 
 void wal_frame_into(const std::uint8_t* payload, std::uint32_t len,
                     std::uint8_t* out) {

@@ -81,6 +81,12 @@ std::vector<std::uint8_t> wal_frame(const std::vector<std::uint8_t>& payload);
 void wal_frame_into(const std::uint8_t* payload, std::uint32_t len,
                     std::uint8_t* out);
 
+// Grows `fd`'s file to `bytes` of allocated zeros, so writes below that size
+// never change the inode size and fdatasync stays a data-only barrier.
+// Best effort: without fallocate the file is only extended (ftruncate).
+// Callers only grow; `bytes` must not be below the current size.
+void preallocate_fd(int fd, std::uint64_t bytes);
+
 struct WalReadResult {
   std::vector<StoreRecord> records;  // decoded longest valid prefix
   std::uint64_t valid_bytes = 0;     // byte length of that prefix

@@ -27,6 +27,9 @@ bool commute(const SvcBatch& a, const SvcBatch& b) {
 }  // namespace
 
 bool ReplicatedLog::accept(const SvcBatch& b, bool known_committed) {
+  // Slot 0 is never sealed; refusing it keeps "every slot <= the floor is
+  // applied" true from the start, which the frontier queries rely on.
+  if (b.slot == 0) return false;
   // An action re-sealed at a NEW slot (failover adoption) obsoletes any
   // uncommitted entry still holding it at an old slot: left in place, that
   // stale entry could never commit (its action commits elsewhere) and would
@@ -119,8 +122,12 @@ bool ReplicatedLog::mark_applied(std::uint64_t slot) {
 
 std::vector<std::uint64_t> ReplicatedLog::ready() const {
   std::vector<std::uint64_t> out;
-  for (const auto& [slot, e] : slots_) {
-    if (e.committed && !e.applied && applicable(slot)) out.push_back(slot);
+  for (auto it = slots_.upper_bound(applied_floor_); it != slots_.end();
+       ++it) {
+    const SvcLogEntry& e = it->second;
+    if (e.committed && !e.applied && applicable(it->first)) {
+      out.push_back(it->first);
+    }
   }
   return out;
 }
@@ -137,9 +144,9 @@ std::optional<std::uint64_t> ReplicatedLog::slot_of(ActionId action) const {
 }
 
 void ReplicatedLog::learn_floor(std::uint64_t f, std::uint64_t notice_term) {
-  for (auto& [slot, e] : slots_) {
-    if (slot > f) break;
-    if (e.batch.term == notice_term) e.committed = true;
+  for (auto it = slots_.upper_bound(applied_floor_);
+       it != slots_.end() && it->first <= f; ++it) {
+    if (it->second.batch.term == notice_term) it->second.committed = true;
   }
 }
 
@@ -158,8 +165,9 @@ std::vector<std::uint64_t> ReplicatedLog::applied_above_floor() const {
 
 std::vector<const SvcLogEntry*> ReplicatedLog::uncommitted() const {
   std::vector<const SvcLogEntry*> out;
-  for (const auto& [slot, e] : slots_) {
-    if (!e.committed) out.push_back(&e);
+  for (auto it = slots_.upper_bound(applied_floor_); it != slots_.end();
+       ++it) {
+    if (!it->second.committed) out.push_back(&it->second);
   }
   return out;
 }

@@ -16,6 +16,13 @@
 // (every slot <= floor applied) is what travels in heartbeats and status
 // reports; out-of-order applied slots above the floor ride commit notices
 // explicitly.
+//
+// Query cost: slots are numbered from 1, and every slot at or below the
+// applied floor is applied and therefore committed, so ready(),
+// learn_floor(), uncommitted() and applied_above_floor() all start at the
+// first slot above the floor.  Their cost follows the in-flight window
+// (slots above the floor), not the history the replica has held.  The
+// map itself still keeps every slot (compaction is ROADMAP item 2).
 #pragma once
 
 #include <cstddef>
@@ -39,13 +46,13 @@ struct SvcLogEntry {
 
 class ReplicatedLog {
  public:
-  // Accepts `b` at b.slot iff the slot is empty or holds a term <= b.term
-  // (idempotent re-accept of the same action included).  Returns true if
-  // the entry was stored/updated — the caller's cue to durably log and
-  // ack.  A committed slot never changes its batch (a higher-term
-  // overwrite of committed content would be the uniformity violation the
-  // whole design exists to prevent; the checkers would catch it, this
-  // check refuses it locally first).
+  // Accepts `b` at b.slot iff b.slot >= 1 and the slot is empty or holds a
+  // term <= b.term (idempotent re-accept of the same action included).
+  // Returns true if the entry was stored/updated — the caller's cue to
+  // durably log and ack.  A committed slot never changes its batch (a
+  // higher-term overwrite of committed content would be the uniformity
+  // violation the whole design exists to prevent; the checkers would catch
+  // it, this check refuses it locally first).
   //
   // `known_committed` inverts the term rule for UNCOMMITTED local entries:
   // a batch some replica holds committed is quorum-durable truth, and a

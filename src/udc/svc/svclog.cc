@@ -1,6 +1,7 @@
 #include "udc/svc/svclog.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,36 +14,11 @@
 
 namespace udc {
 
-SvcDurableLog::SvcDurableLog(std::string path) : path_(std::move(path)) {
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-               0644);
-  UDC_CHECK(fd_ >= 0, "svclog: open(" + path_ +
-                          ") failed: " + std::strerror(errno));
-}
-
-SvcDurableLog::~SvcDurableLog() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void SvcDurableLog::append(const SvcBatch& b) {
-  std::vector<std::uint8_t> payload;
-  put_svc_batch(payload, b);
-  auto frame = wal_frame(payload);
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t w = ::write(fd_, frame.data() + off, frame.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw InvariantViolation("svclog: write failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  UDC_CHECK(::fdatasync(fd_) == 0, "svclog: fdatasync failed");
-  ++appended_;
-}
-
 namespace {
+
+// Growth step of the preallocated region: one size change per chunk, not
+// one per append (a batch frame is tens of bytes).
+constexpr std::uint64_t kPreallocChunk = 1u << 20;
 
 struct ScanResult {
   std::vector<SvcBatch> entries;
@@ -97,6 +73,53 @@ ScanResult scan_log(const std::string& path) {
 }
 
 }  // namespace
+
+SvcDurableLog::SvcDurableLog(std::string path) : path_(std::move(path)) {
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  UDC_CHECK(fd_ >= 0, "svclog: open(" + path_ +
+                          ") failed: " + std::strerror(errno));
+  // Append after the valid prefix, never after the file's end: a log left
+  // by a kill still carries its zero tail (and maybe a torn frame), and a
+  // frame written past either would be invisible to every later read.
+  end_ = scan_log(path_).valid_bytes;
+  struct stat st {};
+  UDC_CHECK(::fstat(fd_, &st) == 0, "svclog: fstat(" + path_ + ") failed");
+  allocated_ = static_cast<std::uint64_t>(st.st_size);
+}
+
+SvcDurableLog::~SvcDurableLog() {
+  if (fd_ < 0) return;
+  // Trim the unused preallocation so the file size is the data length
+  // again.  Only size metadata changes, and a zero tail that survived a
+  // crash here would read the same.
+  if (allocated_ > end_) (void)::ftruncate(fd_, static_cast<off_t>(end_));
+  ::close(fd_);
+}
+
+void SvcDurableLog::append(const SvcBatch& b) {
+  std::vector<std::uint8_t> payload;
+  put_svc_batch(payload, b);
+  const auto frame = wal_frame(payload);
+  if (end_ + frame.size() > allocated_) {
+    allocated_ = (end_ + frame.size() + kPreallocChunk - 1) / kPreallocChunk *
+                 kPreallocChunk;
+    preallocate_fd(fd_, allocated_);
+  }
+  std::size_t off = 0;
+  while (off < frame.size()) {
+    ssize_t w = ::pwrite(fd_, frame.data() + off, frame.size() - off,
+                         static_cast<off_t>(end_ + off));
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      throw InvariantViolation("svclog: write failed: " +
+                               std::string(std::strerror(errno)));
+    }
+    off += static_cast<std::size_t>(w);
+  }
+  UDC_CHECK(::fdatasync(fd_) == 0, "svclog: fdatasync failed");
+  end_ += frame.size();
+  ++appended_;
+}
 
 std::vector<SvcBatch> SvcDurableLog::read(const std::string& path) {
   return scan_log(path).entries;

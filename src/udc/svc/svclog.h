@@ -13,6 +13,17 @@
 // longest valid frame prefix — a torn tail from a kill mid-append costs
 // exactly the unacked record being written.
 //
+// Zero tail: the file is preallocated in chunks (preallocate_fd, as the
+// WAL's segments are) and each frame is pwritten at a tracked offset, so an
+// append's fdatasync carries data only, not a new file size.  An open log
+// therefore ends in zeros; a zero length word ends the valid prefix, so
+// read() sees exactly the appended frames, also in a copy taken while the
+// log is open.  A clean close trims the zero tail, leaving file size equal
+// to the data length.  Reopen rule: the constructor positions the next
+// append at the end of the valid prefix, not at the file size, so a log
+// reopened after a kill (zero tail, perhaps a torn frame) never appends
+// behind a gap that would hide the new frames from every later read.
+//
 // The log is append-only and re-appends are meaningful: a batch re-sealed
 // under a higher term (failover adoption) or accepted at a new slot appends
 // a fresh record, and recovery keeps the LAST record per action id — the
@@ -32,10 +43,11 @@ namespace udc {
 
 class SvcDurableLog {
  public:
-  // Opens `path` for appending (created if missing).  Throws
-  // InvariantViolation if the file cannot be opened.
+  // Opens `path` for appending (created if missing), positioned at the end
+  // of its valid frame prefix.  Throws InvariantViolation if the file cannot
+  // be opened.
   explicit SvcDurableLog(std::string path);
-  ~SvcDurableLog();
+  ~SvcDurableLog();  // trims the zero tail
 
   SvcDurableLog(const SvcDurableLog&) = delete;
   SvcDurableLog& operator=(const SvcDurableLog&) = delete;
@@ -52,14 +64,16 @@ class SvcDurableLog {
   // times; the caller keeps the last).  A missing file reads as empty.
   static std::vector<SvcBatch> read(const std::string& path);
 
-  // read() plus truncation to the valid prefix — what recovery must use
-  // before re-opening for append: a torn tail left in place would hide
-  // every frame appended after it from the next read.
+  // read() plus truncation to the valid prefix (zero tail and torn frame
+  // alike) — what recovery uses before re-opening for append, so the file
+  // it leaves holds only valid frames.
   static std::vector<SvcBatch> recover(const std::string& path);
 
  private:
   std::string path_;
   int fd_ = -1;
+  std::uint64_t end_ = 0;        // offset of the next frame
+  std::uint64_t allocated_ = 0;  // file size, preallocated through here
   std::uint64_t appended_ = 0;
 };
 

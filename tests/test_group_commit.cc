@@ -5,8 +5,9 @@
 // is exactly the unflushed SUFFIX — nothing with group commit after a flush,
 // everything appended since the last one otherwise.  Plus the plumbing:
 // commit_every kicks the flusher early, stop() is a final barrier, and idle
-// flushes are free, and a requested commit beats the interval and reports
-// the new floor through on_durable.
+// flushes are free, a requested commit beats the interval and reports
+// the new floor through on_durable, and a single store's round under the
+// pool engine (synced on the committer thread) is a real barrier.
 #include "udc/store/group_commit.h"
 
 #include <gtest/gtest.h>
@@ -128,6 +129,36 @@ TEST(GroupCommit, RequestedCommitBeatsTheIntervalAndFiresOnDurable) {
                        std::chrono::milliseconds(100)));
   EXPECT_EQ(store.durable_floor(), 2u);
   committer.stop();
+}
+
+// A node process has one store, so nearly every round it runs covers one
+// descriptor, which the default pool engine syncs on the committer thread
+// instead of handing it to a worker.  That round must still be a barrier:
+// the floor moves, on_durable fires, and a machine-style crash right after
+// (under the live committer, before any final flush) keeps the record.
+TEST(GroupCommit, SingleStoreRoundUnderThePoolIsDurableAndFiresOnDurable) {
+  Rng rng(11);
+  ProcessStore store(fresh_dir("single_pool").string(), 0,
+                     gc_opts(/*commit_every=*/1'000'000,
+                             std::chrono::seconds(100)),
+                     {truncate_fault()});
+  std::atomic<int> fired{0};
+  store.set_on_durable([&fired] { fired.fetch_add(1); });
+  GroupCommitter committer;
+  committer.attach(&store);
+  ASSERT_STREQ(committer.barrier_name(), "pool");
+
+  store.append(1, Event::do_action(1));
+  store.append(2, Event::init(2));
+  store.request_commit();
+  EXPECT_TRUE(wait_for([&] { return fired.load() >= 1; },
+                       std::chrono::milliseconds(5'000)));
+  EXPECT_EQ(store.durable_floor(), 2u);
+  EXPECT_GE(store.counters().group_commits, 1u);
+
+  store.apply_kill_faults(/*kill_time=*/3, rng);
+  committer.stop();
+  EXPECT_EQ(store.recover().size(), 2u);
 }
 
 TEST(GroupCommit, QuietStoresFlushByIntervalAndIdleFlushesAreFree) {

@@ -1,12 +1,18 @@
 // Replicated service log (svc/log): term rules, quorum, the DC2'
 // out-of-order apply rule, floor arithmetic, and the stale-entry erasure
-// that failover adoption depends on.
+// that failover adoption depends on.  The last test checks the frontier
+// queries (which start above the applied floor) against full scans over a
+// long random history.
 #include "udc/svc/log.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <vector>
 
+#include "udc/common/rng.h"
 #include "udc/coord/action.h"
 
 namespace udc {
@@ -51,6 +57,9 @@ TEST(ReplicatedLog, AcceptTermRules) {
   EXPECT_FALSE(log.has_quorum(1, 3));
   EXPECT_EQ(log.slot_of(a1), std::nullopt);
   EXPECT_EQ(log.slot_of(a2), std::optional<std::uint64_t>(1));
+  // Slots are numbered from 1: slot 0 is refused, whatever its term.
+  EXPECT_FALSE(log.accept(batch(0, 9, make_action(2, 1))));
+  EXPECT_EQ(log.entry(0), nullptr);
 }
 
 TEST(ReplicatedLog, ReSealUnderNewTermVoidsOldTermAcks) {
@@ -260,6 +269,193 @@ TEST(ReplicatedLog, UncommittedListsLowestFirst) {
   EXPECT_EQ(unc[0]->batch.slot, 2u);
   EXPECT_EQ(unc[1]->batch.slot, 8u);
   EXPECT_EQ(log.max_slot(), 8u);
+}
+
+// --- frontier queries vs. a full scan ---------------------------------------
+
+// The reference side of the differential test: one pass from slot 1 to
+// max_slot() through entry(), trusting nothing about the applied floor.
+bool ref_commute(const SvcBatch& a, const SvcBatch& b) {
+  for (const SvcOp& x : a.ops) {
+    for (const SvcOp& y : b.ops) {
+      if (x.session == y.session || x.reg == y.reg) return false;
+    }
+  }
+  return true;
+}
+
+struct FullScan {
+  std::vector<std::uint64_t> ready;
+  std::vector<std::uint64_t> uncommitted;
+  std::vector<int> flags;  // per slot: 0 missing, 1 committed, 2 not
+};
+
+FullScan full_scan(const ReplicatedLog& log) {
+  // A committed, unapplied slot is ready iff no slot below it is missing
+  // and it commutes with every unapplied slot below it.
+  FullScan out;
+  out.flags.assign(log.max_slot() + 1, 0);
+  std::vector<const SvcBatch*> unapplied_below;
+  bool gap_below = false;
+  for (std::uint64_t s = 1; s <= log.max_slot(); ++s) {
+    const SvcLogEntry* e = log.entry(s);
+    if (e == nullptr) {
+      gap_below = true;
+      continue;
+    }
+    out.flags[s] = e->committed ? 1 : 2;
+    if (!e->committed) out.uncommitted.push_back(s);
+    if (e->applied) continue;
+    bool ok = e->committed && !gap_below;
+    for (const SvcBatch* u : unapplied_below) {
+      if (!ok) break;
+      ok = ref_commute(*u, e->batch);
+    }
+    if (ok) out.ready.push_back(s);
+    unapplied_below.push_back(&e->batch);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> slots_of(
+    const std::vector<const SvcLogEntry*>& entries) {
+  std::vector<std::uint64_t> out;
+  for (const SvcLogEntry* e : entries) out.push_back(e->batch.slot);
+  return out;
+}
+
+TEST(ReplicatedLog, FrontierQueriesMatchAFullScan) {
+  constexpr std::uint64_t kSlots = 5'000;
+  constexpr std::uint64_t kWindow = 40;  // max slots sealed above the floor
+  Rng rng(16);
+  ReplicatedLog log;
+  std::uint64_t term = 1;
+  std::uint64_t next_slot = 1;
+  ActionId next_action = 0;
+  std::set<std::uint64_t> gaps;  // slots below next_slot with no entry
+  FullScan scan;                 // the state after the last step
+
+  // Batches draw sessions and registers from small pools, so some pairs
+  // commute and some do not; a few batches are empty (commute with all).
+  auto fresh = [&](std::uint64_t slot, std::uint64_t t, ActionId a) {
+    SvcBatch b;
+    b.slot = slot;
+    b.term = t;
+    b.action = a;
+    const std::uint64_t n_ops = rng.next_below(4);
+    for (std::uint64_t i = 0; i < n_ops; ++i) {
+      SvcOp op;
+      op.session = rng.next_below(24);
+      op.seq = 1;
+      op.kind = SvcOpKind::kWrite;
+      op.reg = static_cast<std::int32_t>(rng.next_below(24));
+      op.value = 1;
+      b.ops.push_back(op);
+    }
+    return b;
+  };
+  auto random_uncommitted = [&]() -> const SvcLogEntry* {
+    const auto unc = log.uncommitted();
+    return unc.empty() ? nullptr : unc[rng.next_below(unc.size())];
+  };
+
+  std::uint64_t steps = 0, learns = 0, ooo_applies = 0, overrides = 0,
+                moves = 0, reaccepts = 0;
+  while (log.applied_floor() < kSlots) {
+    ASSERT_LT(++steps, 400'000u) << "history stalled at floor "
+                                 << log.applied_floor();
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 22) {
+      // Seal the next slot, sometimes skipping one (a gap catch-up fills).
+      if (next_slot - log.applied_floor() > kWindow) continue;
+      if (rng.next_below(8) == 0) gaps.insert(next_slot++);
+      ASSERT_TRUE(log.accept(fresh(next_slot, term, next_action++)));
+      ++next_slot;
+    } else if (op < 30) {
+      // Catch-up fills a gap, at the current or an older term.
+      if (gaps.empty()) continue;
+      const std::uint64_t s = *gaps.begin();
+      gaps.erase(gaps.begin());
+      const std::uint64_t t = term - rng.next_below(term);
+      ASSERT_TRUE(log.accept(fresh(s, t, next_action++)));
+    } else if (op < 36) {
+      // Re-accept under a higher term: same action (re-propose after an
+      // election) or a new one (a successor reused the slot).
+      const SvcLogEntry* e = random_uncommitted();
+      if (e == nullptr) continue;
+      if (rng.next_below(3) == 0) ++term;
+      SvcBatch b = rng.next_below(2) == 0
+                       ? e->batch
+                       : fresh(e->batch.slot, term, next_action++);
+      b.term = term;
+      EXPECT_TRUE(log.accept(b));
+      ++reaccepts;
+    } else if (op < 40) {
+      // known_committed: lower-term committed content beats a leftover.
+      const SvcLogEntry* e = random_uncommitted();
+      if (e == nullptr || e->batch.term < 2) continue;
+      const std::uint64_t s = e->batch.slot;
+      EXPECT_TRUE(log.accept(fresh(s, e->batch.term - 1, next_action++),
+                             /*known_committed=*/true));
+      log.mark_committed(s);
+      ++overrides;
+    } else if (op < 43) {
+      // Adoption moves an uncommitted action to a new slot; its old slot
+      // becomes a gap.
+      const SvcLogEntry* e = random_uncommitted();
+      if (e == nullptr || next_slot - log.applied_floor() > kWindow) continue;
+      const std::uint64_t old = e->batch.slot;
+      SvcBatch b = e->batch;
+      b.slot = next_slot++;
+      b.term = term;
+      ASSERT_TRUE(log.accept(b));
+      ASSERT_EQ(log.entry(old), nullptr);
+      gaps.insert(old);
+      ++moves;
+    } else if (op < 65) {
+      const SvcLogEntry* e = random_uncommitted();
+      if (e != nullptr) log.mark_committed(e->batch.slot);
+    } else if (op < 88) {
+      // Apply one ready slot, not necessarily the lowest (DC2').
+      const auto ready = log.ready();
+      if (ready.empty()) continue;
+      if (log.mark_applied(ready[rng.next_below(ready.size())])) {
+        ++ooo_applies;
+      }
+    } else {
+      // A commit notice or heartbeat: a floor at, below or beyond the
+      // window, under the current or a recent term.
+      const std::uint64_t f =
+          rng.next_below(4) == 0
+              ? rng.next_below(next_slot + 4)
+              : log.applied_floor() + rng.next_below(kWindow + 8);
+      const std::uint64_t t = term - rng.next_below(std::min<std::uint64_t>(
+                                         term, 3));
+      // Expected flags: the previous step's scan, with every uncommitted
+      // slot <= f under term t now committed.
+      std::vector<int> want = scan.flags;
+      for (std::uint64_t s = 1; s < want.size() && s <= f; ++s) {
+        if (want[s] == 2 && log.entry(s)->batch.term == t) want[s] = 1;
+      }
+      log.learn_floor(f, t);
+      scan = full_scan(log);
+      ASSERT_EQ(scan.flags, want)
+          << "learn_floor(" << f << ", " << t << ") at step " << steps;
+      ++learns;
+    }
+    if (op < 88) scan = full_scan(log);  // learn steps scanned above
+    ASSERT_EQ(log.ready(), scan.ready) << "step " << steps;
+    ASSERT_EQ(slots_of(log.uncommitted()), scan.uncommitted)
+        << "step " << steps;
+  }
+  // The history exercised every branch, many times over.
+  EXPECT_GE(log.max_slot(), kSlots);
+  EXPECT_GT(learns, 1'000u);
+  EXPECT_GT(ooo_applies, 100u);
+  EXPECT_GT(overrides, 50u);
+  EXPECT_GT(moves, 50u);
+  EXPECT_GT(reaccepts, 100u);
+  EXPECT_GT(term, 20u);
 }
 
 }  // namespace
